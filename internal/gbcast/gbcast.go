@@ -50,7 +50,12 @@
 // none are run).
 //
 // Liveness of a boundary: completing it may require DATA bodies for ids in
-// U that have not arrived yet; reliable broadcast guarantees they do.
+// U that have not arrived yet; reliable broadcast guarantees they do. Epoch
+// membership depends on the a-delivery sequence alone: while a boundary
+// that already holds its CLOSE majority waits for a body, every further
+// a-delivery (ordered or CLOSE) is stashed and replayed in stream order
+// once the boundary completes, so a late body can neither move an ordered
+// message into the wrong epoch nor make a process drop a CLOSE it needs.
 // A majority of correct processes always emits CLOSE, so the first-majority
 // prefix of the stream exists. Fast messages cannot starve under an endless
 // stream of boundaries either: every correct process eventually acks m, so
@@ -146,7 +151,7 @@ type Broadcaster struct {
 	flushLimit int
 
 	rb *rbcast.Broadcaster
-	ab *abcast.Broadcaster
+	ab abroadcaster
 
 	events *eventq.Queue[event]
 
@@ -161,6 +166,7 @@ type Broadcaster struct {
 	closeSenders  map[proc.ID]struct{}
 	closeUnion    map[gid]struct{}
 	queuedOrdered []Delivery
+	stashed       []abcast.Delivery // a-deliveries past a stalled CLOSE majority
 	deferredAcks  []gid
 	flushInFlight bool
 
@@ -172,6 +178,12 @@ type Broadcaster struct {
 	startOnce sync.Once
 	stop      chan struct{}
 	done      sync.WaitGroup
+}
+
+// abroadcaster is the ordered path's use of atomic broadcast: the seam the
+// single-threaded boundary tests replace.
+type abroadcaster interface {
+	Broadcast(body any) error
 }
 
 type event struct {
@@ -413,6 +425,14 @@ func (g *Broadcaster) deliverFast(id gid) {
 }
 
 func (g *Broadcaster) onAdeliver(d abcast.Delivery) {
+	if g.closing && len(g.closeSenders) >= g.quorum {
+		// Epoch membership is a function of the a-delivery sequence alone.
+		// Boundary e already holds its CLOSE majority and waits only for a
+		// swept body, so everything after it in the stream belongs to epoch
+		// e+1 or later: hold it until the boundary completes.
+		g.stashed = append(g.stashed, d)
+		return
+	}
 	switch body := d.Body.(type) {
 	case gOrd:
 		g.onOrdered(d.Origin, body)
@@ -518,6 +538,15 @@ func (g *Broadcaster) tryCompleteBoundary() {
 		g.checkFast(id)
 	}
 	g.maybeAutoFlush()
+
+	// Replay, in stream order, what arrived while this boundary waited for a
+	// body. A replayed message may open a boundary that stalls in turn;
+	// onAdeliver then stashes the rest again.
+	stashed := g.stashed
+	g.stashed = nil
+	for _, d := range stashed {
+		g.onAdeliver(d)
+	}
 }
 
 func (g *Broadcaster) emitOrdered(d Delivery) {
