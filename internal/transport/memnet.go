@@ -45,7 +45,7 @@ type Network struct {
 	// keeps exactly one waiter on the lock and bounded goroutine count.
 	schedMu   sync.Mutex
 	schedHeap delayHeap
-	schedKick chan struct{}
+	schedWait *schedWaiter
 	schedStop chan struct{}
 	schedOnce sync.Once
 	schedDone sync.WaitGroup
@@ -306,6 +306,7 @@ func (n *Network) Shutdown() {
 	n.schedOnce.Do(func() {}) // from here on the scheduler can no longer start
 	if n.schedStop != nil {
 		close(n.schedStop)
+		n.schedWait.wake()
 		n.schedDone.Wait()
 	}
 }
@@ -411,7 +412,7 @@ const maxScheduled = 8192
 // schedule hands a delayed packet to the network's delivery scheduler.
 func (n *Network) schedule(d delayedPkt) {
 	n.schedOnce.Do(func() {
-		n.schedKick = make(chan struct{}, 1)
+		n.schedWait = newSchedWaiter()
 		n.schedStop = make(chan struct{})
 		n.schedDone.Add(1)
 		go n.deliverLoop()
@@ -428,31 +429,54 @@ func (n *Network) schedule(d delayedPkt) {
 	n.schedMu.Unlock()
 	if next.Equal(d.at) {
 		// The new packet is (or ties) the earliest: wake the scheduler so it
-		// re-arms its timer.
-		select {
-		case n.schedKick <- struct{}{}:
-		default:
-		}
+		// waits for this one instead.
+		n.schedWait.wake()
 	}
 }
 
 // deliverLoop is the single goroutine delivering delayed packets in
 // delivery-time order (crash state is re-checked at delivery time, so
 // packets in flight at crash time are lost, as before).
+//
+// It waits on the runtime timer until one fires late by the epoll grain,
+// which only an idle runtime does, and then spends the next kernelRun
+// sub-millisecond waits in the kernel (schedWaiter). Neither wait alone
+// serves every load. Measured with bench/ on a 2-core Linux VM (medians of
+// 4-5 alternating pairs of 20 s runs), a kernel wait for every
+// sub-millisecond wait against kernelRun 16: gbcast_mix ops/s +51% and
+// failover lat_p50 -34%, but write_sat ops/s -11% and failover outage_ms
+// +31% (a kernel wait keeps its P, so a burst of work runs on one P fewer).
+// kernelRun 256 against 16 lands between: gbcast_mix ops/s +38%, write_sat
+// ops/s -10%, failover outage_ms +7%. With 16, write_sat (28.6k ops/s) and
+// the outage (109 ms) read as they do with the runtime timer alone.
 func (n *Network) deliverLoop() {
 	defer n.schedDone.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	kernelWaits := 0 // sub-millisecond waits left to spend in the kernel
 	for {
+		// The token comes first: a wake after it (a packet due sooner, or
+		// Shutdown) makes the wait below return at once.
+		tok := n.schedWait.token()
+		select {
+		case <-n.schedStop:
+			// Drain: recycle whatever never got delivered.
+			n.schedMu.Lock()
+			for _, d := range n.schedHeap {
+				PutFrame(d.pkt.Data)
+			}
+			n.schedHeap = nil
+			n.schedMu.Unlock()
+			return
+		default:
+		}
 		now := time.Now()
 		var due []delayedPkt
 		n.schedMu.Lock()
 		for len(n.schedHeap) > 0 && !n.schedHeap[0].at.After(now) {
 			due = append(due, heap.Pop(&n.schedHeap).(delayedPkt))
 		}
-		var wait time.Duration = time.Hour
+		var next time.Time // zero: nothing scheduled
 		if len(n.schedHeap) > 0 {
-			wait = time.Until(n.schedHeap[0].at)
+			next = n.schedHeap[0].at
 		}
 		n.schedMu.Unlock()
 
@@ -475,28 +499,33 @@ func (n *Network) deliverLoop() {
 			}
 		}
 
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+		wait := time.Duration(-1) // nothing scheduled: wait for a wake
+		if !next.IsZero() {
+			if wait = time.Until(next); wait <= 0 {
+				continue
 			}
 		}
-		timer.Reset(wait)
-		select {
-		case <-n.schedStop:
-			// Drain: recycle whatever never got delivered.
-			n.schedMu.Lock()
-			for _, d := range n.schedHeap {
-				PutFrame(d.pkt.Data)
-			}
-			n.schedHeap = nil
-			n.schedMu.Unlock()
-			return
-		case <-n.schedKick:
-		case <-timer.C:
+		if kernelWaits > 0 && wait >= 0 && wait < epollGrain {
+			kernelWaits--
+			n.schedWait.waitKernel(tok, wait)
+			continue
+		}
+		armed := time.Now()
+		if n.schedWait.waitTimer(wait) && wait < epollGrain && time.Since(armed) >= epollGrain {
+			// The runtime is idle and parked in epoll: wait in the kernel.
+			kernelWaits = kernelRun
 		}
 	}
 }
+
+// epollGrain is the timeout granularity of the epoll wait an idle runtime
+// parks in: a shorter timer that took this long was held there.
+const epollGrain = time.Millisecond
+
+// kernelRun is how many sub-millisecond waits the scheduler spends in the
+// kernel after a late timer before it tries the runtime timer again (see
+// deliverLoop for how it was chosen).
+const kernelRun = 16
 
 func (e *memEndpoint) enqueue(pkt Packet) {
 	e.mu.Lock()

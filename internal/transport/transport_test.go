@@ -157,3 +157,30 @@ func TestTCPTransportRoundTrip(t *testing.T) {
 	// Unknown peer: silently dropped per the unreliable contract.
 	tb.Send("ghost", []byte("x"))
 }
+
+// TestMemnetWaitYieldsToSoonerPacket: while the scheduler waits for a packet
+// due late, a packet sent meanwhile that is due sooner still leaves on time.
+func TestMemnetWaitYieldsToSoonerPacket(t *testing.T) {
+	n := NewNetwork()
+	defer n.Shutdown()
+	a, b, c := n.Endpoint("a"), n.Endpoint("b"), n.Endpoint("c")
+	n.SetLinkDelay("a", "b", 200*time.Millisecond, 200*time.Millisecond)
+	n.SetLinkDelay("a", "c", 100*time.Microsecond, 100*time.Microsecond)
+	a.Send("b", []byte("late"))
+	time.Sleep(time.Millisecond) // the scheduler is now waiting for "late"
+	start := time.Now()
+	a.Send("c", []byte("soon"))
+	p, ok := recvOne(t, c, time.Second)
+	if !ok {
+		t.Fatal("sooner packet not delivered")
+	}
+	PutFrame(p.Data)
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Fatalf("sooner packet took %v behind a 200ms one", d)
+	}
+	p, ok = recvOne(t, b, time.Second)
+	if !ok {
+		t.Fatal("late packet not delivered")
+	}
+	PutFrame(p.Data)
+}
