@@ -38,9 +38,40 @@ type item struct {
 	Body   any
 }
 
+// Tags of an item and of a batch in the binary codec.
+const (
+	tagItem  = 0x38
+	tagBatch = 0x39
+)
+
 func init() {
-	msg.Register(item{})
-	msg.Register([]item{})
+	msg.Bind(tagItem, encodeItem, decodeItem)
+	msg.Bind(tagBatch, func(w *msg.Writer, batch []item) {
+		w.Len(len(batch))
+		for _, it := range batch {
+			encodeItem(w, it)
+		}
+	}, func(r *msg.Reader) []item {
+		n := r.Len()
+		if n == 0 {
+			return nil
+		}
+		batch := make([]item, n)
+		for i := range batch {
+			batch[i] = decodeItem(r)
+		}
+		return batch
+	})
+}
+
+func encodeItem(w *msg.Writer, it item) {
+	w.Str(string(it.Origin))
+	w.Uint(it.Seq)
+	w.Any(it.Body)
+}
+
+func decodeItem(r *msg.Reader) item {
+	return item{Origin: proc.ID(r.Str()), Seq: r.Uint(), Body: r.Any()}
 }
 
 // Delivery is a message delivered in total order. GlobalSeq is the position

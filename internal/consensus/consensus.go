@@ -93,13 +93,53 @@ type (
 	}
 )
 
+// Tags of the wire messages in the binary codec.
+const (
+	tagEstimate = 0x20 + iota
+	tagPropose
+	tagAck
+	tagNack
+	tagDecide
+	tagStart
+)
+
 func init() {
-	msg.Register(mEstimate{})
-	msg.Register(mPropose{})
-	msg.Register(mAck{})
-	msg.Register(mNack{})
-	msg.Register(mDecide{})
-	msg.Register(mStart{})
+	msg.Bind(tagEstimate, func(w *msg.Writer, m mEstimate) {
+		w.Uint(m.Inst)
+		w.Uint(m.Round)
+		w.Bool(m.HasEst)
+		w.Bytes(m.Est)
+		w.Uint(m.Ts)
+	}, func(r *msg.Reader) mEstimate {
+		return mEstimate{Inst: r.Uint(), Round: r.Uint(), HasEst: r.Bool(), Est: r.Bytes(), Ts: r.Uint()}
+	})
+	msg.Bind(tagPropose, func(w *msg.Writer, m mPropose) {
+		w.Uint(m.Inst)
+		w.Uint(m.Round)
+		w.Bytes(m.Val)
+	}, func(r *msg.Reader) mPropose {
+		return mPropose{Inst: r.Uint(), Round: r.Uint(), Val: r.Bytes()}
+	})
+	msg.Bind(tagAck, func(w *msg.Writer, m mAck) {
+		w.Uint(m.Inst)
+		w.Uint(m.Round)
+	}, func(r *msg.Reader) mAck {
+		return mAck{Inst: r.Uint(), Round: r.Uint()}
+	})
+	msg.Bind(tagNack, func(w *msg.Writer, m mNack) {
+		w.Uint(m.Inst)
+		w.Uint(m.Round)
+	}, func(r *msg.Reader) mNack {
+		return mNack{Inst: r.Uint(), Round: r.Uint()}
+	})
+	msg.Bind(tagDecide, func(w *msg.Writer, m mDecide) {
+		w.Uint(m.Inst)
+		w.Bytes(m.Val)
+	}, func(r *msg.Reader) mDecide {
+		return mDecide{Inst: r.Uint(), Val: r.Bytes()}
+	})
+	msg.Bind(tagStart, func(w *msg.Writer, m mStart) { w.Uint(m.Inst) },
+		func(r *msg.Reader) mStart { return mStart{Inst: r.Uint()} })
 }
 
 // Decision is an agreed value for an instance.

@@ -33,8 +33,12 @@ type heartbeat struct {
 	From proc.ID
 }
 
+// tagHeartbeat is the heartbeat's tag in the binary codec.
+const tagHeartbeat = 0x11
+
 func init() {
-	msg.Register(heartbeat{})
+	msg.Bind(tagHeartbeat, func(w *msg.Writer, h heartbeat) { w.Str(string(h.From)) },
+		func(r *msg.Reader) heartbeat { return heartbeat{From: proc.ID(r.Str())} })
 }
 
 // Event reports a change in the suspicion state of a peer.

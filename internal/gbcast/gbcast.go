@@ -112,12 +112,57 @@ type (
 	}
 )
 
+// Tags of the wire types in the binary codec.
+const (
+	tagFast = 0x40 + iota
+	tagAck
+	tagOrd
+	tagClose
+)
+
 func init() {
-	msg.Register(gFast{})
-	msg.Register(gAck{})
-	msg.Register(gOrd{})
-	msg.Register(gClose{})
+	msg.Bind(tagFast, func(w *msg.Writer, f gFast) {
+		w.Str(f.Class)
+		w.Any(f.Body)
+	}, func(r *msg.Reader) gFast {
+		return gFast{Class: r.Str(), Body: r.Any()}
+	})
+	msg.Bind(tagAck, func(w *msg.Writer, a gAck) {
+		encodeGid(w, a.ID)
+		w.Uint(a.Epoch)
+	}, func(r *msg.Reader) gAck {
+		return gAck{ID: decodeGid(r), Epoch: r.Uint()}
+	})
+	msg.Bind(tagOrd, func(w *msg.Writer, o gOrd) {
+		w.Str(o.Class)
+		w.Any(o.Body)
+	}, func(r *msg.Reader) gOrd {
+		return gOrd{Class: r.Str(), Body: r.Any()}
+	})
+	msg.Bind(tagClose, func(w *msg.Writer, c gClose) {
+		w.Uint(c.Epoch)
+		w.Len(len(c.Unswept))
+		for _, id := range c.Unswept {
+			encodeGid(w, id)
+		}
+	}, func(r *msg.Reader) gClose {
+		c := gClose{Epoch: r.Uint()}
+		if n := r.Len(); n > 0 {
+			c.Unswept = make([]gid, n)
+			for i := range c.Unswept {
+				c.Unswept[i] = decodeGid(r)
+			}
+		}
+		return c
+	})
 }
+
+func encodeGid(w *msg.Writer, id gid) {
+	w.Str(string(id.Origin))
+	w.Uint(id.Seq)
+}
+
+func decodeGid(r *msg.Reader) gid { return gid{Origin: proc.ID(r.Str()), Seq: r.Uint()} }
 
 // Delivery is a g-delivered message.
 type Delivery struct {

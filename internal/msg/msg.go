@@ -1,29 +1,51 @@
 // Package msg provides the wire codec shared by every protocol layer.
 //
-// All layers exchange Go values encoded with encoding/gob. Using a real
-// codec (rather than passing pointers through the in-memory transport)
-// guarantees that no two processes ever alias mutable state, exactly as if
-// they were on different machines, and lets the same message types travel
-// over the TCP transport unchanged.
+// Encoding through a real codec (rather than passing pointers through the
+// in-memory transport) guarantees that no two processes ever alias mutable
+// state, exactly as if they were on different machines, and lets the same
+// message types travel over the TCP transport unchanged.
 //
-// The encode path is pooled: every Encode borrows a scratch buffer from a
-// sync.Pool instead of growing a fresh bytes.Buffer per call, and returns
-// an exactly-sized copy the caller owns. Callers that consume a frame
-// synchronously (transports copy on Send) can avoid even that copy with
-// EncodeTransient. The decode path pools its reader, and the buffers decode
-// reads FROM are pooled by the transports (transport.GetFrame/PutFrame):
-// Decode never retains its input, so the final consumer of a frame recycles
-// it right after decoding. This matters because every message of every
-// layer — data frames, acks, heartbeats, loopback deliveries — passes
-// through here; see BenchmarkMsgCodec and BenchmarkMsgDecode.
+// Two encodings share one API, chosen by type and never by configuration:
+//
+//   - Bound types — the hot protocol messages of the group-communication
+//     core — use a hand-written binary encoding. Their owner package calls
+//     Bind from its init with a one-byte tag and an encode/decode function
+//     pair. A frame is [0x00][tag][body]. Fields are uvarints, single
+//     bytes, length-prefixed strings and byte slices, and nested `any`
+//     values, which recurse through the same tag dispatch: tagNil for a nil
+//     interface, a bound tag for a bound value, tagBytes for a []byte, and
+//     tagGob followed by a length-prefixed gob stream for any other
+//     registered value.
+//   - Every other registered type (service frames, replication payloads,
+//     WAL records, snapshots, application values) is a gob stream of an
+//     envelope, byte for byte what this package produced before binary
+//     bindings existed, so stored data needs no migration.
+//
+// Decode tells the two apart by the first byte: gob never writes an empty
+// message, so a gob stream never starts with 0x00. Decode copies everything
+// out of its input (frames are recycled through transport.PutFrame right
+// after), bounds-checks every length against the bytes that remain before
+// allocating, and rejects unknown tags, truncated or trailing bytes,
+// non-canonical integers and nesting deeper than maxDepth. Strings in bound
+// types (process IDs, protocol and class names) are interned, so the
+// steady state decodes them without allocating.
+//
+// The encode path is pooled: every Encode borrows a scratch writer from a
+// sync.Pool and returns an exactly-sized copy the caller owns. Callers that
+// consume a frame synchronously (transports copy on Send) can avoid even
+// that copy with EncodeTransient. See BenchmarkMsgCodec and
+// BenchmarkMsgDecode.
 package msg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 )
 
 // envelope is the concrete top-level type handed to gob; the payload itself
@@ -31,6 +53,27 @@ import (
 type envelope struct {
 	V any
 }
+
+// binaryMark opens every binary frame; no gob stream starts with it.
+const binaryMark = 0x00
+
+// Tags reserved by this package. Owner packages bind tags from 0x10 up.
+const (
+	tagNil   = 0x00 // nested nil interface
+	tagGob   = 0x01 // nested unbound value: uvarint length, then a gob stream
+	tagBytes = 0x02 // []byte: uvarint length, then the bytes
+)
+
+// maxDepth bounds how deeply `any` values may nest inside one binary frame.
+const maxDepth = 16
+
+var (
+	errTruncated    = errors.New("truncated frame")
+	errOversize     = errors.New("length exceeds frame")
+	errNonCanonical = errors.New("non-canonical encoding")
+	errDepth        = errors.New("nesting too deep")
+	errTrailing     = errors.New("trailing bytes")
+)
 
 var (
 	registryMu sync.Mutex
@@ -55,34 +98,198 @@ func Register(v any) {
 	gob.Register(v)
 }
 
-// bufPool recycles encode scratch buffers. Buffers retain their grown
-// capacity across uses, so steady-state encoding stops allocating for
-// buffer growth no matter the payload size distribution.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// binding is one bound type's binary encoding.
+type binding struct {
+	tag byte
+	enc func(*Writer, any)
+	dec func(*Reader) any
+}
 
-// encodeInto serialises v into the pooled buffer and returns it; the caller
-// must return the buffer to the pool.
-func encodeInto(v any) (*bytes.Buffer, error) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(envelope{V: v}); err != nil {
-		bufPool.Put(buf)
+// table is the immutable set of bindings; Bind replaces it wholesale, so the
+// hot path reads it without a lock.
+type table struct {
+	byType map[reflect.Type]*binding
+	byTag  [256]*binding
+}
+
+var bindings atomic.Pointer[table]
+
+func init() {
+	bindings.Store(&table{byType: map[reflect.Type]*binding{}})
+	Bind(tagBytes, func(w *Writer, b []byte) { w.Bytes(b) }, func(r *Reader) []byte { return r.Bytes() })
+}
+
+// Bind registers T (as Register does) and gives it the binary encoding enc
+// and dec under tag. Owner packages call it from init, once per type; a
+// reserved, reused or re-bound tag panics. dec must read exactly what enc
+// wrote, in the same order, and need not check errors: the Reader's are
+// sticky and Decode reports the first.
+func Bind[T any](tag byte, enc func(*Writer, T), dec func(*Reader) T) {
+	var zero T
+	Register(zero)
+	typ := reflect.TypeOf(zero)
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	old := bindings.Load()
+	switch {
+	case tag <= tagGob:
+		panic(fmt.Sprintf("msg: tag %#x is reserved", tag))
+	case old.byTag[tag] != nil:
+		panic(fmt.Sprintf("msg: tag %#x bound twice", tag))
+	case old.byType[typ] != nil:
+		panic(fmt.Sprintf("msg: %v bound twice", typ))
+	}
+	b := &binding{
+		tag: tag,
+		enc: func(w *Writer, v any) { enc(w, v.(T)) },
+		dec: func(r *Reader) any { return dec(r) },
+	}
+	next := &table{byType: make(map[reflect.Type]*binding, len(old.byType)+1), byTag: old.byTag}
+	for t, ob := range old.byType {
+		next.byType[t] = ob
+	}
+	next.byType[typ] = b
+	next.byTag[tag] = b
+	bindings.Store(next)
+}
+
+func lookup(v any) *binding { return bindings.Load().byType[reflect.TypeOf(v)] }
+
+// Writer appends one binary frame. Its methods are what a Bind encoder
+// calls, field by field.
+type Writer struct {
+	buf     []byte
+	err     error
+	depth   int
+	release func() // returns this writer to writerPool (EncodeTransient)
+}
+
+var writerPool sync.Pool
+
+func init() {
+	writerPool.New = func() any {
+		w := new(Writer)
+		w.release = func() { writerPool.Put(w) }
+		return w
+	}
+}
+
+// Byte writes one byte.
+func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }
+
+// Bool writes a bool as one byte, 0 or 1.
+func (w *Writer) Bool(b bool) {
+	if b {
+		w.Byte(1)
+	} else {
+		w.Byte(0)
+	}
+}
+
+// Uint writes x as a uvarint.
+func (w *Writer) Uint(x uint64) { w.buf = binary.AppendUvarint(w.buf, x) }
+
+// Len writes a slice length (the count a decoder reads with Reader.Len).
+func (w *Writer) Len(n int) { w.Uint(uint64(n)) }
+
+// Str writes a length-prefixed string.
+func (w *Writer) Str(s string) {
+	w.Len(len(s))
+	w.buf = append(w.buf, s...)
+}
+
+// Bytes writes a length-prefixed byte slice; nil and empty are the same.
+func (w *Writer) Bytes(b []byte) {
+	w.Len(len(b))
+	w.buf = append(w.buf, b...)
+}
+
+// Any writes a nested interface value: nil, a bound value by its tag, or
+// any other registered value as one length-prefixed gob stream.
+func (w *Writer) Any(v any) {
+	if v == nil {
+		w.Byte(tagNil)
+		return
+	}
+	if b := lookup(v); b != nil {
+		w.bound(b, v)
+		return
+	}
+	w.Byte(tagGob)
+	start := len(w.buf)
+	w.gob(v)
+	// Prefix the stream with its length: shift it right by the prefix size.
+	var hdr [binary.MaxVarintLen64]byte
+	n := len(w.buf) - start
+	k := binary.PutUvarint(hdr[:], uint64(n))
+	w.buf = append(w.buf, hdr[:k]...)
+	copy(w.buf[start+k:], w.buf[start:start+n])
+	copy(w.buf[start:], hdr[:k])
+}
+
+// bound writes v's tag and body.
+func (w *Writer) bound(b *binding, v any) {
+	if w.depth++; w.depth > maxDepth {
+		w.fail(errDepth)
+		return
+	}
+	w.Byte(b.tag)
+	b.enc(w, v)
+	w.depth--
+}
+
+// gob appends v's gob stream: exactly the bytes Encode produces for an
+// unbound type.
+func (w *Writer) gob(v any) {
+	if err := gob.NewEncoder((*gobSink)(w)).Encode(envelope{V: v}); err != nil {
+		w.fail(err)
+	}
+}
+
+func (w *Writer) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// gobSink lets gob write into a Writer without making Write part of the
+// Writer's API.
+type gobSink Writer
+
+func (s *gobSink) Write(p []byte) (int, error) {
+	s.buf = append(s.buf, p...)
+	return len(p), nil
+}
+
+// encode serialises v into a pooled writer; the caller must release it.
+func encode(v any) (*Writer, error) {
+	w := writerPool.Get().(*Writer)
+	w.buf, w.err, w.depth = w.buf[:0], nil, 0
+	if b := lookup(v); b != nil {
+		w.Byte(binaryMark)
+		w.bound(b, v)
+	} else {
+		w.gob(v)
+	}
+	if w.err != nil {
+		err := w.err
+		writerPool.Put(w)
 		return nil, fmt.Errorf("msg encode %T: %w", v, err)
 	}
-	return buf, nil
+	return w, nil
 }
 
 // Encode serialises v. The dynamic type of v must be registered. The
 // returned slice is owned by the caller (it is safe to retain, e.g. in a
 // retransmission buffer).
 func Encode(v any) ([]byte, error) {
-	buf, err := encodeInto(v)
+	w, err := encode(v)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	bufPool.Put(buf)
+	out := make([]byte, len(w.buf))
+	copy(out, w.buf)
+	writerPool.Put(w)
 	return out, nil
 }
 
@@ -98,33 +305,232 @@ func Encode(v any) ([]byte, error) {
 // is the alloc-free pattern for fire-and-forget frames such as acks,
 // heartbeat datagrams and loopback deliveries).
 func EncodeTransient(v any) ([]byte, func(), error) {
-	buf, err := encodeInto(v)
+	w, err := encode(v)
 	if err != nil {
 		return nil, nil, err
 	}
-	return buf.Bytes(), func() { bufPool.Put(buf) }, nil
+	return w.buf, w.release, nil
 }
 
-// readerPool recycles the bytes.Reader wrapped around each decode. A
-// gob.Decoder itself cannot be pooled — each Encode output is a
-// self-contained gob stream re-sending its type definitions, and a Decoder
-// fed two independent streams rejects the duplicate definitions — but the
-// reader can, and decode input buffers are pooled one layer down (the
-// transports' frame pool, which consumers release after Decode returns).
-var readerPool = sync.Pool{New: func() any { return new(bytes.Reader) }}
+// Reader consumes one binary frame. Its methods are what a Bind decoder
+// calls, field by field. Errors are sticky: after the first, every read
+// returns a zero value and Decode reports that first error.
+type Reader struct {
+	data  []byte
+	off   int
+	err   error
+	depth int
+}
+
+var readerPool = sync.Pool{New: func() any { return new(Reader) }}
+
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.off = len(r.data)
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.off >= len(r.data) {
+		r.fail(errTruncated)
+		return 0
+	}
+	b := r.data[r.off]
+	r.off++
+	return b
+}
+
+// Bool reads a bool; any byte but 0 or 1 is an error.
+func (r *Reader) Bool() bool {
+	b := r.Byte()
+	if b > 1 {
+		r.fail(errNonCanonical)
+	}
+	return b == 1
+}
+
+// Uint reads a uvarint, rejecting overlong encodings.
+func (r *Reader) Uint() uint64 {
+	x, n := binary.Uvarint(r.data[r.off:])
+	switch {
+	case n == 0:
+		r.fail(errTruncated)
+		return 0
+	case n < 0 || (n > 1 && r.data[r.off+n-1] == 0):
+		r.fail(errNonCanonical)
+		return 0
+	}
+	r.off += n
+	return x
+}
+
+// Len reads a slice length written by Writer.Len. Every element takes at
+// least one byte, so a length beyond the bytes that remain is rejected
+// before the caller allocates for it.
+func (r *Reader) Len() int {
+	n := r.Uint()
+	if n > uint64(len(r.data)-r.off) {
+		r.fail(errOversize)
+		return 0
+	}
+	return int(n)
+}
+
+// span reads a length prefix and returns the bytes it covers (a view into
+// the frame).
+func (r *Reader) span() []byte {
+	n := r.Len()
+	b := r.data[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+// Str reads a length-prefixed string.
+func (r *Reader) Str() string { return intern(r.span()) }
+
+// Bytes reads a length-prefixed byte slice into a fresh copy; empty reads
+// as nil, as it does through gob.
+func (r *Reader) Bytes() []byte {
+	b := r.span()
+	if len(b) == 0 {
+		return nil
+	}
+	return bytes.Clone(b)
+}
+
+// Any reads a nested interface value written by Writer.Any.
+func (r *Reader) Any() any {
+	switch tag := r.Byte(); {
+	case r.err != nil:
+		return nil
+	case tag == tagNil:
+		return nil
+	case tag == tagGob:
+		blob := r.span()
+		if r.err != nil {
+			return nil
+		}
+		v, err := decodeGob(blob, true)
+		if err != nil {
+			r.fail(err)
+			return nil
+		}
+		return v
+	default:
+		return r.bound(tag)
+	}
+}
+
+// bound decodes a value of the bound type tag names.
+func (r *Reader) bound(tag byte) any {
+	b := bindings.Load().byTag[tag]
+	if b == nil {
+		r.fail(fmt.Errorf("unknown tag %#x", tag))
+		return nil
+	}
+	if r.depth++; r.depth > maxDepth {
+		r.fail(errDepth)
+		return nil
+	}
+	v := b.dec(r)
+	r.depth--
+	return v
+}
+
+// Interning: the strings of bound types repeat in every frame (process IDs,
+// protocol and class names), so the first copy of each short one is kept
+// and shared. The table is copy-on-write and capped, so hostile or unusual
+// input costs allocations, never unbounded memory.
+const (
+	maxInterned    = 1024
+	maxInternedLen = 64
+)
+
+var (
+	internMu sync.Mutex
+	interned atomic.Pointer[map[string]string]
+)
+
+func intern(b []byte) string {
+	if m := interned.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	s := string(b)
+	if len(s) > maxInternedLen {
+		return s
+	}
+	internMu.Lock()
+	defer internMu.Unlock()
+	old := interned.Load()
+	if old != nil && len(*old) >= maxInterned {
+		return s
+	}
+	next := map[string]string{s: s}
+	if old != nil {
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	interned.Store(&next)
+	return s
+}
+
+// decodeGob decodes one gob-encoded envelope. A nested stream must be
+// consumed exactly; a top-level one is read as it always was.
+func decodeGob(data []byte, exact bool) (any, error) {
+	br := gobReaderPool.Get().(*bytes.Reader)
+	br.Reset(data)
+	var env envelope
+	err := gob.NewDecoder(br).Decode(&env)
+	if err == nil && exact && br.Len() != 0 {
+		err = errTrailing
+	}
+	br.Reset(nil) // drop the data reference before pooling
+	gobReaderPool.Put(br)
+	if err != nil {
+		return nil, err
+	}
+	return env.V, nil
+}
+
+// gobReaderPool recycles the bytes.Reader wrapped around each gob decode. A
+// gob.Decoder itself cannot be pooled: each gob stream re-sends its type
+// definitions, and a Decoder fed two independent streams rejects the
+// duplicates.
+var gobReaderPool = sync.Pool{New: func() any { return new(bytes.Reader) }}
 
 // Decode deserialises a value previously produced by Encode. Decode copies
 // everything out of data: the caller may reuse (or recycle) the buffer as
 // soon as Decode returns — see BenchmarkMsgDecode.
 func Decode(data []byte) (any, error) {
-	r := readerPool.Get().(*bytes.Reader)
-	r.Reset(data)
-	var env envelope
-	err := gob.NewDecoder(r).Decode(&env)
-	r.Reset(nil) // drop the data reference before pooling
+	if len(data) == 0 || data[0] != binaryMark {
+		v, err := decodeGob(data, false)
+		if err != nil {
+			return nil, fmt.Errorf("msg decode: %w", err)
+		}
+		return v, nil
+	}
+	r := readerPool.Get().(*Reader)
+	*r = Reader{data: data, off: 1}
+	var v any
+	// Encode writes unbound and nil values as gob, never as a binary frame.
+	if tag := r.Byte(); r.err == nil && tag <= tagGob {
+		r.fail(fmt.Errorf("tag %#x at top level", tag))
+	} else if r.err == nil {
+		v = r.bound(tag)
+	}
+	if r.err == nil && r.off != len(r.data) {
+		r.fail(errTrailing)
+	}
+	err := r.err
+	*r = Reader{} // drop the data reference before pooling
 	readerPool.Put(r)
 	if err != nil {
 		return nil, fmt.Errorf("msg decode: %w", err)
 	}
-	return env.V, nil
+	return v, nil
 }

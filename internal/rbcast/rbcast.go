@@ -33,8 +33,17 @@ type rbMsg struct {
 	Body   any
 }
 
+// tagRbMsg is the wire format's tag in the binary codec.
+const tagRbMsg = 0x30
+
 func init() {
-	msg.Register(rbMsg{})
+	msg.Bind(tagRbMsg, func(w *msg.Writer, m rbMsg) {
+		w.Str(string(m.Origin))
+		w.Uint(m.Seq)
+		w.Any(m.Body)
+	}, func(r *msg.Reader) rbMsg {
+		return rbMsg{Origin: proc.ID(r.Str()), Seq: r.Uint(), Body: r.Any()}
+	})
 }
 
 // Delivery is a delivered broadcast message.

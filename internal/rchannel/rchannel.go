@@ -59,10 +59,21 @@ type wire struct {
 	PInc uint64
 }
 
-// RegisterWireTypes registers the channel's frame type with the codec.
-// It is called once from this package.
+// tagWire is the frame's tag in the binary codec.
+const tagWire = 0x10
+
 func init() {
-	msg.Register(wire{})
+	msg.Bind(tagWire, func(w *msg.Writer, f wire) {
+		w.Byte(f.Kind)
+		w.Uint(f.Seq)
+		w.Uint(f.Ack)
+		w.Str(f.Proto)
+		w.Any(f.Body)
+		w.Uint(f.Inc)
+		w.Uint(f.PInc)
+	}, func(r *msg.Reader) wire {
+		return wire{Kind: r.Byte(), Seq: r.Uint(), Ack: r.Uint(), Proto: r.Str(), Body: r.Any(), Inc: r.Uint(), PInc: r.Uint()}
+	})
 }
 
 // Handler consumes a message delivered to a protocol. Handlers run on the
@@ -364,7 +375,7 @@ func (e *Endpoint) dispatchLoop() {
 
 func (e *Endpoint) handlePacket(pkt transport.Packet) {
 	decoded, err := msg.Decode(pkt.Data)
-	// The endpoint is the frame's final consumer: gob decoding copies every
+	// The endpoint is the frame's final consumer: msg.Decode copies every
 	// field out of the buffer, so it can go back to the transport pool here
 	// regardless of what happens to the decoded value.
 	transport.PutFrame(pkt.Data)
