@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -190,6 +191,41 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if _, err := msg.Encode(deep); err == nil {
 		t.Fatal("encoded a frame nested past the limit")
+	}
+}
+
+// TestBoundConcurrent runs binary round trips from several goroutines: the
+// pooled writers and readers and the intern table (which grows here) are
+// shared.
+func TestBoundConcurrent(t *testing.T) {
+	const workers, per = 8, 300
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := 0; i < per; i++ {
+				in := probeFrame{Seq: uint64(w*per + i), Name: fmt.Sprintf("n%d-%d", w, i%40), Body: []byte{byte(i)}}
+				frame, err := msg.Encode(in)
+				if err != nil {
+					errs <- err
+					return
+				}
+				out, err := msg.Decode(frame)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := out.(probeFrame); got.Seq != in.Seq || got.Name != in.Name {
+					errs <- fmt.Errorf("worker %d: sent %+v, got %+v", w, in, got)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
