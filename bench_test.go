@@ -341,12 +341,11 @@ type noopPassive struct{}
 func (noopPassive) Execute(op []byte) ([]byte, []byte) { return op, op }
 func (noopPassive) ApplyUpdate([]byte)                 {}
 
-// Group-commit write path: the same sessioned write workload against a
-// 3-replica passive group, with and without batching. The batched variant
+// E12 microbenchmark — per-op cost of the ordered write path: sessioned
+// writes against a 3-replica passive group, whose group-commit batcher
 // coalesces the concurrent writes of RunParallel's workers into one
 // g-broadcast per commit window.
-func runSessionWrites(b *testing.B, batch bool) {
-	b.Helper()
+func BenchmarkSessionWriteBatched(b *testing.B) {
 	network := transport.NewNetwork(
 		transport.WithDelay(50*time.Microsecond, 200*time.Microsecond),
 		transport.WithSeed(1))
@@ -365,9 +364,6 @@ func runSessionWrites(b *testing.B, batch bool) {
 	}
 	for i, r := range reps {
 		r.Bind(nodes[i])
-		if batch {
-			r.EnableBatching(replication.BatchConfig{})
-		}
 	}
 	for _, nd := range nodes {
 		nd.Start()
@@ -396,13 +392,6 @@ func runSessionWrites(b *testing.B, batch bool) {
 		}
 	})
 }
-
-// E12 microbenchmarks — per-op cost of the ordered write path, one
-// g-broadcast per op ...
-func BenchmarkSessionWriteUnbatched(b *testing.B) { runSessionWrites(b, false) }
-
-// ... versus the group-commit batcher coalescing concurrent ops.
-func BenchmarkSessionWriteBatched(b *testing.B) { runSessionWrites(b, true) }
 
 // Substrate microbenchmarks.
 

@@ -100,7 +100,7 @@ func experimentDurability() error {
 	return nil
 }
 
-// buildDurableHarness is buildSvcHarness (batching on) with a storage
+// buildDurableHarness is buildSvcHarness (pipelined dispatch) with a storage
 // engine attached to every replica before its stack starts — the wiring a
 // durable gcsnode performs. mkEngine nil builds the volatile baseline.
 func buildDurableHarness(seed int64, mkEngine func(id string) (storage.Engine, error)) (*svcHarness, error) {
@@ -131,7 +131,6 @@ func buildDurableHarness(seed int64, mkEngine func(id string) (storage.Engine, e
 			return nil, err
 		}
 		rep.Bind(nd)
-		rep.EnableBatching(replication.BatchConfig{})
 		h.nodes = append(h.nodes, nd)
 		h.reps = append(h.reps, rep)
 	}

@@ -99,7 +99,6 @@ func runRecovery(keys int) (recoveryRecord, error) {
 
 	// Load phase: N keys through the batched write path at the primary.
 	primary := reps[0]
-	primary.EnableBatching(replication.BatchConfig{})
 	defer primary.StopBatching()
 	value := strings.Repeat("v", 64)
 	start := time.Now()

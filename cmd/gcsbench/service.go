@@ -20,19 +20,16 @@ import (
 // ---- E12: service gateway ------------------------------------------------
 //
 // Client-observed throughput and latency of the networked service layer as
-// the number of concurrent sessions grows, with and without group-commit
-// batching. Every session is a closed loop (one outstanding write at a
-// time). Unbatched, every write pays its own g-broadcast round trip, which
-// saturates past a handful of sessions; batched, the primary coalesces all
-// sessions' concurrent writes into one g-broadcast per commit window, so
-// throughput keeps scaling while the single-session latency stays within
-// the (zero by default) max batch delay. Emits one JSON record per row
-// alongside the table.
+// the number of concurrent sessions grows. Every session is a closed loop
+// (one outstanding write at a time); the primary coalesces all sessions'
+// concurrent writes into one g-broadcast per commit window, so throughput
+// keeps scaling while the single-session latency stays within the (zero by
+// default) max batch delay. Emits one JSON record per row alongside the
+// table.
 
 // svcRecord is the JSON shape of one measurement row.
 type svcRecord struct {
 	Experiment string  `json:"experiment"`
-	Batch      bool    `json:"batch"`
 	Sessions   int     `json:"sessions"`
 	DurationS  float64 `json:"duration_s"`
 	Ops        uint64  `json:"ops"`
@@ -40,8 +37,8 @@ type svcRecord struct {
 	MeanUS     float64 `json:"mean_us"`
 	P50US      float64 `json:"p50_us"`
 	P99US      float64 `json:"p99_us"`
-	Batches    uint64  `json:"batches"`   // broadcasts carrying the ops (0 unbatched)
-	MaxBatch   int     `json:"max_batch"` // largest coalesced batch (0 unbatched)
+	Batches    uint64  `json:"batches"`   // broadcasts carrying the ops
+	MaxBatch   int     `json:"max_batch"` // largest coalesced batch
 	// HistOverflow counts latency samples beyond the histogram's last bucket
 	// bound: nonzero means the p99 above is clamped (benchdiff flags it).
 	HistOverflow uint64 `json:"hist_overflow,omitempty"`
@@ -72,33 +69,32 @@ func (b *benchSM) restore(data []byte) {
 func experimentService() error {
 	fmt.Println("== E12 — service gateway: client throughput vs concurrent sessions ==")
 	fmt.Println("   closed-loop networked clients over memnet streams; writes only")
-	fmt.Printf("%-6s %-10s %10s %12s %10s %10s %10s\n",
-		"batch", "sessions", "ops", "ops/s", "mean", "p99", "batches")
+	fmt.Printf("%-10s %10s %12s %10s %10s %10s\n",
+		"sessions", "ops", "ops/s", "mean", "p99", "batches")
 
 	const runFor = time.Second
-	for _, batch := range []bool{false, true} {
-		for _, sessions := range []int{1, 4, 16, 64} {
-			rec, err := runService(sessions, batch, runFor)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-6v %-10d %10d %12.0f %10v %10v %10d\n",
-				rec.Batch, rec.Sessions, rec.Ops, rec.OpsPerSec,
-				time.Duration(rec.MeanUS*float64(time.Microsecond)).Round(time.Microsecond),
-				time.Duration(rec.P99US*float64(time.Microsecond)).Round(time.Microsecond),
-				rec.Batches)
-			line, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(line))
+	for _, sessions := range []int{1, 4, 16, 64} {
+		rec, err := runService(sessions, runFor)
+		if err != nil {
+			return err
 		}
+		fmt.Printf("%-10d %10d %12.0f %10v %10v %10d\n",
+			rec.Sessions, rec.Ops, rec.OpsPerSec,
+			time.Duration(rec.MeanUS*float64(time.Microsecond)).Round(time.Microsecond),
+			time.Duration(rec.P99US*float64(time.Microsecond)).Round(time.Microsecond),
+			rec.Batches)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		fmt.Println(string(line))
 	}
 	return nil
 }
 
-// svcHarness is one benchmark cluster: 3 nodes, a gateway each. When fault
-// is set, every node's transport is wrapped in an (idle) FaultTransport —
+// svcHarness is one benchmark cluster: 3 nodes, a gateway each. pipelined
+// selects the gateways' per-session dispatch (GatewayConfig.Batching). When
+// fault is set, every node's transport is wrapped in an (idle) FaultTransport —
 // the pass-through-cost configuration E18 measures.
 type svcHarness struct {
 	network *transport.Network
@@ -116,7 +112,7 @@ type svcHarness struct {
 	followerAddr []string
 }
 
-func buildSvcHarness(seed int64, batch, fault bool) (*svcHarness, error) {
+func buildSvcHarness(seed int64, pipelined, fault bool) (*svcHarness, error) {
 	h := &svcHarness{network: newNet(seed)}
 	members := ids(3, "s")
 	addrs := make(map[proc.ID]string)
@@ -144,9 +140,6 @@ func buildSvcHarness(seed int64, batch, fault bool) (*svcHarness, error) {
 		// the follower-less experiments.
 		rep.SetSnapshotter(replication.Snapshotter{Snapshot: sm.snapshot, Restore: sm.restore})
 		replication.ServeSync(nd.Endpoint(), rep, replication.SyncConfig{Join: nd.Join})
-		if batch {
-			rep.EnableBatching(replication.BatchConfig{})
-		}
 		h.nodes = append(h.nodes, nd)
 		h.reps = append(h.reps, rep)
 	}
@@ -159,7 +152,7 @@ func buildSvcHarness(seed int64, batch, fault bool) (*svcHarness, error) {
 			Replica:  h.reps[i],
 			Read:     h.sms[i].read,
 			Addrs:    addrs,
-			Batching: batch,
+			Batching: pipelined,
 		})
 		l, err := h.network.ListenStream(id)
 		if err != nil {
@@ -250,8 +243,8 @@ func (h *svcHarness) dialer() func(addr string) (transport.StreamConn, error) {
 	}
 }
 
-func runService(sessions int, batch bool, runFor time.Duration) (svcRecord, error) {
-	h, err := buildSvcHarness(int64(500+sessions), batch, false)
+func runService(sessions int, runFor time.Duration) (svcRecord, error) {
+	h, err := buildSvcHarness(int64(500+sessions), true, false)
 	if err != nil {
 		return svcRecord{}, err
 	}
@@ -316,7 +309,6 @@ func runService(sessions int, batch bool, runFor time.Duration) (svcRecord, erro
 
 	return svcRecord{
 		Experiment:   "service",
-		Batch:        batch,
 		Sessions:     sessions,
 		DurationS:    elapsed.Seconds(),
 		Ops:          ops.Load(),

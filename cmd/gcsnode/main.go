@@ -81,7 +81,7 @@ func main() {
 		useAbcast    = flag.Bool("abcast", true, "broadcast with total order (false = rbcast)")
 		svcListen    = flag.String("service-listen", "", "expose the service gateway on this address (enables the replicated KV store)")
 		svcPeersSpec = flag.String("service-peers", "", "comma-separated id=host:port of every member's service gateway (for redirect hints)")
-		svcBatch     = flag.Bool("service-batch", false, "group-commit batching: coalesce concurrent session writes into one broadcast")
+		svcBatch     = flag.Bool("service-batch", false, "pipelined gateway dispatch: run a session's queued writes concurrently instead of one at a time in seq order (replicas group-commit either way)")
 		svcShards    = flag.Int("service-shards", 1, "shard the key space across this many parallel replicated groups (all members must agree)")
 		svcTTL       = flag.Duration("service-session-ttl", time.Hour, "garbage-collect idle disconnected sessions after this lease (0 = never)")
 		svcLease     = flag.Duration("service-lease-ttl", 0, "replicated session lease: expire (session, seq) dedup records idle for this long as ordered messages, bounding the replicated table (0 = never)")
@@ -532,19 +532,18 @@ func run(self, listen, peersSpec string, sendEvery time.Duration, useAbcast bool
 				svcLdrLease, suspicion, suspicion*4/5)
 		}
 
-		// Phase 3 — only an aligned replica may campaign or batch.
+		// Phase 3 — only an aligned replica may campaign, and the gateway,
+		// the only source of writes, starts after this loop: no write is
+		// admitted before alignment.
 		for _, s := range members {
 			s.replica.StartFailover(suspicion)
 			defer s.replica.StopFailover()
+			defer s.replica.StopBatching()
 			if svcWatchdog > 0 {
 				// Above the failover suspicion timeout, or an ordinary
 				// election would look like a stall.
 				s.replica.StartWatchdog(gcs.ReplicaWatchdogConfig{StallTimeout: svcWatchdog})
 				defer s.replica.StopWatchdog()
-			}
-			if svcBatch {
-				s.replica.EnableBatching(gcs.BatchConfig{})
-				defer s.replica.StopBatching()
 			}
 			if svcLdrLease > 0 {
 				s.replica.EnableLeaderLease(gcs.LeaderLeaseConfig{TTL: svcLdrLease})

@@ -68,9 +68,10 @@ type (
 	PassiveReplica = replication.Passive
 	// PassiveStateMachine is the application behind passive replication.
 	PassiveStateMachine = replication.PassiveStateMachine
-	// BatchConfig tunes the primary's group-commit batcher
-	// (PassiveReplica.EnableBatching): concurrent writes coalesce into one
-	// g-broadcast per commit window.
+	// BatchConfig bounds the primary's group-commit batches
+	// (PassiveReplica.EnableBatching). Group commit is the replica's only
+	// write path: concurrent writes coalesce into one g-broadcast per
+	// commit window, and an isolated write is a batch of one.
 	BatchConfig = replication.BatchConfig
 	// BatchStats is the batcher's accounting.
 	BatchStats = replication.BatchStats

@@ -211,6 +211,7 @@ func TestChaosRecovery(t *testing.T) {
 	// Stop traffic, then audit.
 	close(stop)
 	wg.Wait()
+	c.checkGroupCommit()
 
 	var acked []string
 	for ci, st := range stats {

@@ -512,6 +512,7 @@ func (c *cluster) powerLoss() {
 			for _, rep := range n.reps {
 				rep.StopFailover()
 				rep.StopWatchdog()
+				rep.StopBatching()
 			}
 			for _, nd := range n.nds {
 				nd.Stop() // deliveries drain here — before the engines die
@@ -610,6 +611,7 @@ func (c *cluster) wipeCore(i int) {
 	for _, rep := range n.reps {
 		rep.StopFailover()
 		rep.StopWatchdog()
+		rep.StopBatching()
 	}
 	for _, nd := range n.nds {
 		nd.Stop()
@@ -718,6 +720,7 @@ func (c *cluster) teardown() {
 		for _, rep := range n.reps {
 			rep.StopFailover()
 			rep.StopWatchdog()
+			rep.StopBatching()
 		}
 		for _, nd := range n.nds {
 			nd.Stop()
@@ -853,6 +856,20 @@ func (c *cluster) converge(timeout time.Duration) []uint64 {
 		}
 	}
 	return targets
+}
+
+// checkGroupCommit asserts that every shard's primary among the live cores
+// carried its writes through the group-commit batcher, the replica's only
+// write path.
+func (c *cluster) checkGroupCommit() {
+	c.t.Helper()
+	for k := 0; k < c.shards; k++ {
+		for _, n := range c.liveCores() {
+			if rep := n.reps[k]; rep.Primary() == n.id && rep.BatchStats().Ops == 0 {
+				c.t.Errorf("shard %d: primary %s carried no write through group commit", k, n.id)
+			}
+		}
+	}
 }
 
 // checkDigests asserts byte-identical replica state per shard across every

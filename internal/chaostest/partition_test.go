@@ -308,4 +308,5 @@ func TestPartitionChaos(t *testing.T) {
 	c.converge(30 * time.Second)
 	c.checkDigests()
 	c.auditExactlyOnce(acked)
+	c.checkGroupCommit()
 }

@@ -142,6 +142,10 @@ func TestPowerLossDurability(t *testing.T) {
 			}
 		}
 
+		// The primaries that took this life's load wrote through group
+		// commit; the next life replays from disk and takes no writes.
+		c.checkGroupCommit()
+
 		// SIGKILL the world mid-load.
 		c.powerLoss()
 		close(stop)

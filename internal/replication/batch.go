@@ -3,29 +3,32 @@ package replication
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/msg"
 	"repro/internal/proc"
 )
 
-// Group-commit batching for the ordered write path.
+// Group commit: the replica's one write path.
 //
 // The paper's abcast layer already amortises consensus across *batches* of
 // messages per instance (Section 3.3); this file extends the same
-// amortisation upward: instead of paying one g-broadcast round trip per
-// client operation, the primary coalesces concurrent Request/RequestSession
-// calls into a single pUpdateBatch message. The batching window is the
-// classic group-commit one — while one batch's g-broadcast is in flight,
-// newly arriving operations accumulate into the next batch (bounded by
-// count and bytes, plus an optional max-delay knob for idle primaries).
+// amortisation upward. Every Request/RequestTimeout/RequestSession at the
+// primary enqueues into the batcher that Bind starts, and a single flush
+// loop executes the queued operations and g-broadcasts them as one
+// pUpdateBatch (fast class). The batching window is the classic group-commit
+// one — while one batch's g-broadcast is in flight, newly arriving
+// operations accumulate into the next batch (bounded by count and bytes,
+// plus an optional max-delay knob for idle primaries). An isolated write is
+// a batch of one: one Execute, one g-broadcast, one apply, exactly what an
+// unbatched write path would send.
 //
-// Correctness is unchanged from the per-operation path:
+// Correctness (Figure 8, applied batch-wise):
 //
 //   - A batch carries the epoch captured at flush time; a primary change
 //     delivered before the batch makes the WHOLE batch stale, every replica
-//     ignores it identically, and every waiter gets ErrDemoted (Figure 8
-//     case 2, applied batch-wise).
+//     ignores it identically, and every waiter gets ErrDemoted (case 2).
 //   - Replicas apply batch entries in order, atomically interleaved with the
 //     (session, seq) dedup of the replicated session table, so exactly-once
 //     across failover is preserved even when a primary crashes mid-batch: a
@@ -34,8 +37,11 @@ import (
 
 // Wire messages of the batched write path.
 type (
-	// pBatchEntry is one client operation inside a pUpdateBatch; the fields
-	// mirror pUpdate's per-operation payload.
+	// pBatchEntry is one client operation inside a pUpdateBatch. Session/Seq
+	// identify it for exactly-once semantics across failover (empty Session
+	// = unsessioned request); Ack piggybacks the client's highest
+	// acknowledged sequence so every replica prunes its session table
+	// deterministically.
 	pBatchEntry struct {
 		Update  []byte
 		Result  []byte
@@ -48,7 +54,7 @@ type (
 	pUpdateBatch struct {
 		Epoch   uint64
 		Client  proc.ID
-		ReqID   uint64 // originator's waiter key, same space as pUpdate.ReqID
+		ReqID   uint64 // originator's waiter key (batchWaiters)
 		Entries []pBatchEntry
 		// TS is the primary's clock at broadcast — one commit timestamp for
 		// the whole batch, stamped onto applied state (leaderlease.go).
@@ -98,75 +104,74 @@ type batchOp struct {
 	ack uint64
 	w   *sessWaiter
 	enq time.Time // enqueue time; zero when metrics are off
+	// left is set when an unsessioned caller stopped waiting (its timeout
+	// expired): nothing can join such an operation, so it no longer counts
+	// as pending work for the watchdog (pendingLen).
+	left atomic.Bool
 }
 
 // batcher is the primary-side group-commit pipeline. Operations enqueue
 // from any goroutine; a single flush loop drains them into pUpdateBatch
 // broadcasts, at most one in flight at a time.
 type batcher struct {
-	p   *Passive
-	cfg BatchConfig
+	p *Passive
 
 	mu         sync.Mutex
+	cfg        BatchConfig
 	queue      []*batchOp
-	queueBytes int // summed op bytes in queue
+	queueBytes int        // summed op bytes in queue
+	flying     []*batchOp // the in-flight batch's operations
 	stats      BatchStats
-	stopped    bool // loop exited; enqueues resolve immediately
+	stopped    bool // write path shut down; enqueues resolve immediately
 
-	kick chan struct{} // buffered(1): queue went non-empty
-	full chan struct{} // buffered(1): queue holds a full batch (wakes waitFill)
-	stop chan struct{}
-	done sync.WaitGroup
+	kick     chan struct{} // buffered(1): queue went non-empty
+	full     chan struct{} // buffered(1): queue holds a full batch (wakes waitFill)
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     sync.WaitGroup
 }
 
-// EnableBatching switches the replica's write path to group-commit
-// batching: concurrent Request/RequestSession calls coalesce into one
-// g-broadcast per batching window. Call before the first request; stop the
-// batcher with StopBatching when the replica is retired.
-func (p *Passive) EnableBatching(cfg BatchConfig) {
-	cfg.applyDefaults()
+func newBatcher(p *Passive) *batcher {
 	b := &batcher{
 		p:    p,
-		cfg:  cfg,
 		kick: make(chan struct{}, 1),
 		full: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 	}
-	p.mu.Lock()
-	if p.batcher != nil {
-		p.mu.Unlock()
-		panic("replication: EnableBatching called twice")
-	}
-	p.batcher = b
-	p.mu.Unlock()
+	b.cfg.applyDefaults()
+	return b
+}
+
+// start runs the flush loop (Bind).
+func (b *batcher) start() {
 	b.done.Add(1)
 	go b.loop()
 }
 
-// StopBatching halts the flush loop; queued and in-flight operations fail
-// with ErrTimeout-style resolution so callers can retry elsewhere. The
-// replica reverts to the per-operation write path.
-func (p *Passive) StopBatching() {
-	p.mu.Lock()
+// EnableBatching sets the group-commit batch bounds; zero fields take their
+// defaults. Every bound replica batches from Bind on, so this only tunes the
+// window; call it before the first request.
+func (p *Passive) EnableBatching(cfg BatchConfig) {
+	cfg.applyDefaults()
 	b := p.batcher
-	p.batcher = nil
-	p.mu.Unlock()
-	if b == nil {
-		return
-	}
-	close(b.stop)
-	b.done.Wait()
+	b.mu.Lock()
+	b.cfg = cfg
+	b.mu.Unlock()
 }
 
-// BatchStats returns the batcher accounting (zero value when batching was
-// never enabled).
-func (p *Passive) BatchStats() BatchStats {
-	p.mu.Lock()
+// StopBatching shuts the write path down: the flush loop halts, and queued,
+// in-flight and later writes resolve with the retryable ErrTimeout so callers
+// retry elsewhere. Call it when the replica is retired. Idempotent.
+func (p *Passive) StopBatching() {
 	b := p.batcher
-	p.mu.Unlock()
-	if b == nil {
-		return BatchStats{}
-	}
+	b.stopOnce.Do(func() { close(b.stop) })
+	b.done.Wait()
+	b.failAll(ErrTimeout)
+}
+
+// BatchStats returns the batcher accounting.
+func (p *Passive) BatchStats() BatchStats {
+	b := p.batcher
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.stats
@@ -201,8 +206,8 @@ func (b *batcher) enqueue(op *batchOp) {
 	}
 }
 
-// take removes up to MaxOps / MaxBytes worth of queued operations,
-// re-arming the kick when work remains.
+// take removes up to MaxOps / MaxBytes worth of queued operations as the
+// in-flight batch, re-arming the kick when work remains.
 func (b *batcher) take() []*batchOp {
 	b.mu.Lock()
 	n, bytes := 0, 0
@@ -218,6 +223,7 @@ func (b *batcher) take() []*batchOp {
 	for _, op := range ops {
 		b.queueBytes -= len(op.op)
 	}
+	b.flying = ops
 	more := len(b.queue) > 0
 	b.mu.Unlock()
 	if more {
@@ -248,12 +254,11 @@ func (b *batcher) loop() {
 	for {
 		select {
 		case <-b.stop:
-			b.failAll(ErrTimeout)
 			return
 		case <-b.kick:
 		}
-		if b.cfg.MaxDelay > 0 && time.Since(lastFlush) >= b.cfg.MaxDelay {
-			b.waitFill()
+		if d := b.maxDelay(); d > 0 && time.Since(lastFlush) >= d && !b.waitFill(d) {
+			return
 		}
 		ops := b.take()
 		if len(ops) == 0 {
@@ -267,10 +272,17 @@ func (b *batcher) loop() {
 	}
 }
 
+func (b *batcher) maxDelay() time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.cfg.MaxDelay
+}
+
 // waitFill holds the first operation of a batch for up to MaxDelay, waking
 // early once a full batch (MaxOps or MaxBytes) is queued — signaled by
-// enqueue, no polling.
-func (b *batcher) waitFill() {
+// enqueue, no polling. It reports false when the write path was stopped
+// meanwhile: the held operations are StopBatching's to release.
+func (b *batcher) waitFill(maxDelay time.Duration) bool {
 	// Drain any stale fullness signal from a previous window, then
 	// re-check: the queue may already be full.
 	select {
@@ -278,18 +290,27 @@ func (b *batcher) waitFill() {
 	default:
 	}
 	if b.windowFull() {
-		return
+		return true
 	}
-	deadline := time.NewTimer(b.cfg.MaxDelay)
+	deadline := time.NewTimer(maxDelay)
 	defer deadline.Stop()
 	select {
 	case <-b.stop:
+		return false
 	case <-deadline.C:
 	case <-b.full:
 	}
+	return true
 }
 
-// failAll resolves every queued operation with err (shutdown path) and
+// land clears the in-flight batch once flush has resolved it.
+func (b *batcher) land() {
+	b.mu.Lock()
+	b.flying = nil
+	b.mu.Unlock()
+}
+
+// failAll resolves every queued operation with err (StopBatching) and
 // redirects subsequent enqueues straight to resolution.
 func (b *batcher) failAll(err error) {
 	b.mu.Lock()
@@ -305,6 +326,7 @@ func (b *batcher) failAll(err error) {
 // flush executes one batch at the primary and g-broadcasts it, blocking
 // until its delivery resolves every entry's waiter.
 func (b *batcher) flush(ops []*batchOp) {
+	defer b.land()
 	p := b.p
 	p.mu.Lock()
 	if p.replicas.Primary() != p.self {
@@ -392,9 +414,8 @@ func (b *batcher) flush(ops []*batchOp) {
 	}
 }
 
-// onUpdateBatch is the delivery path of the batched write path: the exact
-// per-entry logic of onUpdate, applied to each entry in order, atomically
-// with respect to the session-table dedup.
+// onUpdateBatch is the delivery path of every write: each entry is applied
+// in order, atomically with respect to the session-table dedup.
 func (p *Passive) onUpdateBatch(u pUpdateBatch) {
 	type gate struct {
 		key    sessKey
@@ -416,11 +437,15 @@ func (p *Passive) onUpdateBatch(u pUpdateBatch) {
 				apply[i] = true
 				continue
 			}
-			// Same apply-time exactly-once bookkeeping as onUpdate, per
-			// entry. (At the originator the inflight waiter is owned by the
+			// Apply-time exactly-once bookkeeping, per entry. The dedup
+			// decision and the table record happen atomically with
+			// RequestSession's dedup check; the apply itself runs outside
+			// the lock (the state machine must never be entered with p.mu
+			// held). At the originator the inflight waiter is owned by the
 			// batcher's flush, resolved after our wake below, which follows
 			// the applies; elsewhere the returned gate holds retries until
-			// this entry has been applied.)
+			// this entry has been applied, so a cached result is never
+			// returned before its state change.
 			dup, w := p.dedupSessionLocked(e.Session, e.Seq, e.Ack, &e.Result)
 			if dup {
 				continue

@@ -8,18 +8,12 @@ import (
 	"time"
 )
 
-// enableBatching turns on group commit at every replica (only the primary's
-// batcher ever flushes) and arranges cleanup.
-func enableBatching(t *testing.T, reps []*Passive, cfg BatchConfig) {
-	t.Helper()
+// enableBatching sets the batch bounds at every replica (only the
+// primary's batcher ever flushes).
+func enableBatching(reps []*Passive, cfg BatchConfig) {
 	for _, r := range reps {
 		r.EnableBatching(cfg)
 	}
-	t.Cleanup(func() {
-		for _, r := range reps {
-			r.StopBatching()
-		}
-	})
 }
 
 // TestBatchCoalesces holds the batching window open long enough for a burst
@@ -27,7 +21,7 @@ func enableBatching(t *testing.T, reps []*Passive, cfg BatchConfig) {
 func TestBatchCoalesces(t *testing.T) {
 	reps, sms, _ := buildCountingPassive(t, 3)
 	const burst = 8
-	enableBatching(t, reps, BatchConfig{MaxOps: burst, MaxDelay: 250 * time.Millisecond})
+	enableBatching(reps, BatchConfig{MaxOps: burst, MaxDelay: 250 * time.Millisecond})
 
 	var wg sync.WaitGroup
 	results := make([]string, burst)
@@ -92,7 +86,7 @@ func TestBatchCoalesces(t *testing.T) {
 // served from the replicated session table without re-execution.
 func TestBatchExactlyOnceRetry(t *testing.T) {
 	reps, sms, _ := buildCountingPassive(t, 3)
-	enableBatching(t, reps, BatchConfig{})
+	enableBatching(reps, BatchConfig{})
 
 	res, err := reps[0].RequestSession("rc", 1, 0, []byte("op"), 10*time.Second)
 	if err != nil {
@@ -114,7 +108,7 @@ func TestBatchExactlyOnceRetry(t *testing.T) {
 // batch and both resolve with their own results.
 func TestBatchMixedSessioned(t *testing.T) {
 	reps, sms, _ := buildCountingPassive(t, 3)
-	enableBatching(t, reps, BatchConfig{MaxOps: 2, MaxDelay: 250 * time.Millisecond})
+	enableBatching(reps, BatchConfig{MaxOps: 2, MaxDelay: 250 * time.Millisecond})
 
 	var wg sync.WaitGroup
 	var sessRes, plainRes []byte
@@ -148,7 +142,7 @@ func TestBatchMixedSessioned(t *testing.T) {
 // never applies them; the retry at the new primary executes exactly once.
 func TestBatchDemotionBeforeFlush(t *testing.T) {
 	reps, sms, _ := buildCountingPassive(t, 3)
-	enableBatching(t, reps, BatchConfig{MaxOps: 64, MaxDelay: 400 * time.Millisecond})
+	enableBatching(reps, BatchConfig{MaxOps: 64, MaxDelay: 400 * time.Millisecond})
 
 	errCh := make(chan error, 1)
 	go func() {
@@ -200,7 +194,7 @@ func TestBatchDemotionBeforeFlush(t *testing.T) {
 func TestBatchMaxDelayIdleOnly(t *testing.T) {
 	reps, _, _ := buildCountingPassive(t, 3)
 	const delay = 300 * time.Millisecond
-	enableBatching(t, reps, BatchConfig{MaxDelay: delay})
+	enableBatching(reps, BatchConfig{MaxDelay: delay})
 
 	// First op of the idle window: pays up to MaxDelay.
 	if _, err := reps[0].RequestSession("sl", 1, 0, []byte("warm"), 10*time.Second); err != nil {
@@ -219,26 +213,44 @@ func TestBatchMaxDelayIdleOnly(t *testing.T) {
 	}
 }
 
-// TestBatchStop: StopBatching releases queued work and reverts the replica
-// to the per-operation path.
+// TestBatchStop: StopBatching shuts the write path down for good. A write
+// held in the fill window is released with the retryable ErrTimeout, later
+// writes fail the same way, and nothing is broadcast after the stop.
 func TestBatchStop(t *testing.T) {
 	reps, sms, _ := buildCountingPassive(t, 3)
-	for _, r := range reps {
-		r.EnableBatching(BatchConfig{})
+	// An hour-long fill window holds the first write in the queue.
+	reps[0].EnableBatching(BatchConfig{MaxDelay: time.Hour})
+	queued := make(chan error, 1)
+	go func() {
+		_, err := reps[0].RequestSession("st", 1, 0, []byte("queued"), 10*time.Second)
+		queued <- err
+	}()
+	waitCond(t, 2*time.Second, "write queued", func() bool {
+		reps[0].mu.Lock()
+		defer reps[0].mu.Unlock()
+		return reps[0].pendingLocked() == 1
+	})
+	reps[0].StopBatching()
+	if err := <-queued; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("queued write after stop: %v, want ErrTimeout", err)
 	}
-	if _, err := reps[0].RequestSession("st", 1, 0, []byte("batched"), 10*time.Second); err != nil {
-		t.Fatal(err)
+	reps[0].StopBatching() // idempotent
+
+	// No other write path takes over: the retry and a fresh write fail
+	// retryably instead of executing.
+	if _, err := reps[0].RequestSession("st", 1, 0, []byte("retry"), 10*time.Second); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("sessioned write after stop: %v, want ErrTimeout", err)
 	}
-	for _, r := range reps {
-		r.StopBatching()
+	if _, err := reps[0].Request([]byte("plain")); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("write after stop: %v, want ErrTimeout", err)
 	}
-	if _, err := reps[0].RequestSession("st", 2, 1, []byte("unbatched"), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if st := reps[0].BatchStats(); st.Batches != 0 {
+	time.Sleep(50 * time.Millisecond) // let any (wrong) broadcast deliver
+	if st := reps[0].BatchStats(); st.Batches != 0 || st.Ops != 0 {
 		t.Fatalf("stats after stop: %+v", st)
 	}
-	if _, applies := sms[0].snapshot(); len(applies) != 2 {
-		t.Fatalf("applies: %v", applies)
+	for i, sm := range sms {
+		if execs, applies := sm.snapshot(); execs != 0 || len(applies) != 0 {
+			t.Fatalf("replica s%d executed %d / applied %v after stop", i+1, execs, applies)
+		}
 	}
 }

@@ -1,12 +1,15 @@
 // Package diskformat_test pins the replication layer's on-disk records: a
 // WAL record (LogRec carrying a group-commit batch) and a snapshot, as
-// written before the binary codec existed. Both stay gob, so they must
-// decode unchanged and re-encode to the identical bytes.
+// written before the binary codec existed, and a WAL record carrying a
+// per-operation pUpdate, as written before every write rode group commit.
+// All stay gob, so they must decode unchanged and re-encode to the
+// identical bytes.
 //
 // gob numbers the types it sends from a process-wide counter, in the order
 // it first meets them. The golden files were written by a fresh process
-// that encoded the record and then the snapshot, so this package holds
-// nothing but this test, which meets them in the same order.
+// that met the record, the snapshot and the pUpdate record in that order,
+// so this package holds nothing but this test, which meets them in the
+// same order.
 package diskformat_test
 
 import (
@@ -22,7 +25,7 @@ import (
 )
 
 func TestOnDiskFormatUnchanged(t *testing.T) {
-	for _, name := range []string{"logrec", "snapshot"} {
+	for _, name := range []string{"logrec", "snapshot", "logrec_pupdate"} {
 		golden, err := os.ReadFile(filepath.Join("testdata", name+".gob"))
 		if err != nil {
 			t.Fatal(err)

@@ -76,25 +76,22 @@ type PassiveStateMachine interface {
 	ApplyUpdate(update []byte)
 }
 
-// Wire messages.
+// Wire messages. Updates travel as pUpdateBatch (batch.go).
 type (
+	// pUpdate is the per-operation update of an earlier write path. Nothing
+	// sends it any more; it stays registered because WAL and catch-up
+	// records written before every write rode group commit still hold it,
+	// and it replays as a one-entry batch (asBatch).
 	pUpdate struct {
-		Epoch  uint64
-		Client proc.ID
-		ReqID  uint64
-		Update []byte
-		Result []byte
-		// Session/Seq identify the client operation for exactly-once
-		// semantics across failover (empty Session = unsessioned request).
-		// Ack piggybacks the client's highest acknowledged sequence so every
-		// replica can prune its session table deterministically.
+		Epoch   uint64
+		Client  proc.ID
+		ReqID   uint64
+		Update  []byte
+		Result  []byte
 		Session string
 		Seq     uint64
 		Ack     uint64
-		// TS is the primary's clock at broadcast (unix nanos): the commit
-		// timestamp replicas stamp their applied state with, which is what a
-		// bounded-staleness read measures its age against (leaderlease.go).
-		TS int64
+		TS      int64
 	}
 	pChange struct {
 		Old proc.ID
@@ -147,7 +144,6 @@ type Passive struct {
 	replicas proc.View // replica list; head is the primary
 	epoch    uint64    // primary-change count
 	nextReq  uint64
-	waiters  map[uint64]chan pUpdate
 	applied  uint64
 	ignored  uint64
 	changes  uint64
@@ -173,9 +169,8 @@ type Passive struct {
 	// hence executed) twice.
 	inflight map[sessKey]*sessWaiter
 
-	// batcher, when non-nil, routes the write path through group-commit
-	// batching (see batch.go); batchWaiters wakes its in-flight flush when
-	// the batch is delivered, exactly as waiters does for single updates.
+	// batcher is the write path (batch.go); batchWaiters wakes its in-flight
+	// flush when the batch is delivered.
 	batcher      *batcher
 	batchWaiters map[uint64]chan pUpdateBatch
 
@@ -292,16 +287,17 @@ type sessWaiter struct {
 // NewPassive creates a replica. replicas is the initial replica list (the
 // same at every replica); its head is the initial primary.
 func NewPassive(sm PassiveStateMachine, replicas []proc.ID) *Passive {
-	return &Passive{
+	p := &Passive{
 		sm:             sm,
 		replicas:       proc.NewView(replicas...),
-		waiters:        make(map[uint64]chan pUpdate),
 		sessions:       make(map[string]*sessionRecord),
 		inflight:       make(map[sessKey]*sessWaiter),
 		batchWaiters:   make(map[uint64]chan pUpdateBatch),
 		barrierWaiters: make(map[uint64]chan pBarrier),
 		logCap:         DefaultLogCap,
 	}
+	p.batcher = newBatcher(p)
+	return p
 }
 
 // DeliverFunc returns the node delivery callback. Each delivered command is
@@ -322,7 +318,7 @@ func (p *Passive) DeliverFunc() core.DeliverFunc {
 func (p *Passive) applyDelivered(body any) {
 	switch m := body.(type) {
 	case pUpdate:
-		p.onUpdate(m)
+		p.onUpdateBatch(m.asBatch())
 	case pUpdateBatch:
 		p.onUpdateBatch(m)
 	case pChange:
@@ -341,10 +337,12 @@ func (p *Passive) applyDelivered(body any) {
 	p.persistDelivered(false)
 }
 
-// Bind attaches the replica to its started node.
+// Bind attaches the replica to its node and starts its write path, the
+// group-commit batcher (batch.go); StopBatching shuts it down.
 func (p *Passive) Bind(node *core.Node) {
 	p.node = node
 	p.self = node.Self()
+	p.batcher.start()
 }
 
 // StartFailover begins monitoring the primary with the given suspicion
@@ -546,10 +544,11 @@ func (p *Passive) RequestPrimaryChange(old proc.ID) error {
 }
 
 // Request processes a client request at this replica. It fails with
-// ErrNotPrimary at a backup; at the primary it executes the request,
-// g-broadcasts the update (fast class!) and waits for its delivery. If a
-// primary change overtakes the update (Figure 8 case 2), it returns
-// ErrDemoted and the state is untouched at every replica.
+// ErrNotPrimary at a backup; at the primary the request joins the next
+// group-commit batch, which is executed and g-broadcast as one update (fast
+// class!), and Request waits for its delivery. If a primary change
+// overtakes the update (Figure 8 case 2), it returns ErrDemoted and the
+// state is untouched at every replica.
 func (p *Passive) Request(op []byte) ([]byte, error) {
 	return p.request(op, 0)
 }
@@ -583,46 +582,16 @@ func (p *Passive) request(op []byte, timeout time.Duration) ([]byte, error) {
 		p.mu.Unlock()
 		return nil, err
 	}
-	if b := p.batcher; b != nil {
-		w := &sessWaiter{done: make(chan struct{})}
-		p.mu.Unlock()
-		b.enqueue(&batchOp{op: op, w: w})
-		return w.wait(timeout)
-	}
-	epoch := p.epoch
-	p.nextReq++
-	req := p.nextReq
-	ch := make(chan pUpdate, 1)
-	p.waiters[req] = ch
 	p.mu.Unlock()
-
-	result, update := p.sm.Execute(op)
-	u := pUpdate{Epoch: epoch, Client: p.self, ReqID: req, Update: update, Result: result,
-		TS: time.Now().UnixNano()}
-	if err := p.node.Gbcast(ClassUpdate, u); err != nil {
-		p.mu.Lock()
-		delete(p.waiters, req)
-		p.mu.Unlock()
-		return nil, fmt.Errorf("replication: update: %w", err)
+	bop := &batchOp{op: op, w: &sessWaiter{done: make(chan struct{})}}
+	p.batcher.enqueue(bop)
+	result, err := bop.w.wait(timeout)
+	if errors.Is(err, ErrTimeout) {
+		// Nothing can join an unsessioned operation, so once its caller
+		// leaves it stops counting as pending work (watchdog.go).
+		bop.left.Store(true)
 	}
-	var expire <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		expire = timer.C
-	}
-	select {
-	case delivered := <-ch:
-		if delivered.Epoch == staleEpoch {
-			return nil, ErrDemoted
-		}
-		return delivered.Result, nil
-	case <-expire:
-		p.mu.Lock()
-		delete(p.waiters, req)
-		p.mu.Unlock()
-		return nil, ErrTimeout
-	}
+	return result, err
 }
 
 // RequestSession is Request with exactly-once semantics across failover.
@@ -677,62 +646,14 @@ func (p *Passive) RequestSession(session string, seq, ack uint64, op []byte, tim
 		p.mu.Unlock()
 		return nil, err
 	}
+	// The batcher resolves w (and clears the in-flight entry) when the
+	// batch is delivered or the primary is demoted, whatever this caller's
+	// timeout: until then a retry joins w instead of executing again.
 	w := &sessWaiter{done: make(chan struct{})}
 	p.inflight[key] = w
-	if b := p.batcher; b != nil {
-		p.mu.Unlock()
-		// Group commit: the operation joins the next batch; the batcher
-		// resolves w (and clears the in-flight entry) when the batch is
-		// delivered or the primary is demoted.
-		b.enqueue(&batchOp{key: key, op: op, ack: ack, w: w})
-		return w.wait(timeout)
-	}
-	epoch := p.epoch
-	p.nextReq++
-	req := p.nextReq
-	ch := make(chan pUpdate, 1)
-	p.waiters[req] = ch
 	p.mu.Unlock()
-
-	// Drive the operation to resolution on its own goroutine: even if this
-	// caller's timeout expires, the in-flight entry must survive until the
-	// update is delivered or the primary is demoted, or a retry could
-	// re-execute the operation.
-	go p.driveSession(key, w, req, ch, epoch, op, ack)
+	p.batcher.enqueue(&batchOp{key: key, op: op, ack: ack, w: w})
 	return w.wait(timeout)
-}
-
-func (p *Passive) driveSession(key sessKey, w *sessWaiter, req uint64, ch chan pUpdate, epoch uint64, op []byte, ack uint64) {
-	result, update := p.sm.Execute(op)
-	u := pUpdate{
-		Epoch: epoch, Client: p.self, ReqID: req,
-		Update: update, Result: result,
-		Session: key.session, Seq: key.seq, Ack: ack,
-		TS: time.Now().UnixNano(),
-	}
-	p.markOp(key, "broadcast")
-	m := p.metrics.Load()
-	var sent time.Time
-	if m != nil {
-		sent = time.Now()
-	}
-	if err := p.node.Gbcast(ClassUpdate, u); err != nil {
-		p.mu.Lock()
-		delete(p.waiters, req)
-		p.mu.Unlock()
-		p.resolve(key, w, nil, fmt.Errorf("replication: update: %w", err))
-		return
-	}
-	delivered := <-ch
-	if m != nil {
-		m.commitLatency.Observe(time.Since(sent))
-	}
-	if delivered.Epoch == staleEpoch {
-		p.resolve(key, w, nil, ErrDemoted)
-		return
-	}
-	p.markOp(key, "delivered")
-	p.resolve(key, w, delivered.Result, nil)
 }
 
 func (p *Passive) resolve(key sessKey, w *sessWaiter, result []byte, err error) {
@@ -791,8 +712,7 @@ func (p *Passive) SessionTableSize() (sessions, results int) {
 const staleEpoch = ^uint64(0)
 
 // dedupSessionLocked is the apply-time exactly-once bookkeeping for ONE
-// sessioned entry, shared by the single-update (onUpdate) and batched
-// (onUpdateBatch) delivery paths; p.mu must be held. It returns dup=true
+// sessioned batch entry (onUpdateBatch); p.mu must be held. It returns dup=true
 // for an entry whose (session, seq) already applied — replacing *result
 // with the cached original so waiters observe the first execution's result
 // — and otherwise records the result, prunes acknowledged seqs, and (when
@@ -833,59 +753,13 @@ func (p *Passive) dedupSessionLocked(session string, seq, ack uint64, result *[]
 	return false, gate
 }
 
-func (p *Passive) onUpdate(u pUpdate) {
-	p.mu.Lock()
-	stale := u.Epoch != p.epoch
-	dup := false
-	var applyGate *sessWaiter // set when this delivery must run ApplyUpdate
-	key := sessKey{session: u.Session, seq: u.Seq}
-	if !stale && u.Session != "" {
-		// Sessioned update: apply-time exactly-once. The dedup decision and
-		// the table record happen atomically with RequestSession's dedup
-		// check; the apply itself runs outside the lock (the state machine
-		// must never be entered with p.mu held), gated through an inflight
-		// waiter so a cached result is never returned before its state
-		// change has been applied at this replica. (At the originator the
-		// inflight waiter already exists and is owned by driveSession,
-		// resolved after our wake below, which follows the apply.)
-		dup, applyGate = p.dedupSessionLocked(u.Session, u.Seq, u.Ack, &u.Result)
-	} else if stale {
-		p.ignored++
-	} else {
-		p.applied++
-	}
-	var ch chan pUpdate
-	if u.Client == p.self {
-		ch = p.waiters[u.ReqID]
-		delete(p.waiters, u.ReqID)
-	}
-	p.mu.Unlock()
-
-	if !stale && (u.Session == "" || !dup) {
-		p.sm.ApplyUpdate(u.Update)
-	}
-	if !stale {
-		// Only after the apply: the index stands for applied state. The
-		// delivered command is logged at its index for joiner catch-up.
-		p.mu.Lock()
-		p.advanceCommitLocked(1)
-		p.logAppendLocked(u)
-		p.mu.Unlock()
-		p.bumpStamp(u.TS)
-		// Durable BEFORE acked: the fsync must precede both the gate
-		// resolution and the originator's wake below — either may release a
-		// client ack on another goroutine.
-		p.persistDelivered(true)
-	}
-	if applyGate != nil {
-		p.resolve(key, applyGate, u.Result, nil)
-	}
-	if ch != nil {
-		if stale {
-			u.Epoch = staleEpoch
-		}
-		ch <- u
-	}
+// asBatch is the one-entry batch a per-operation update record replays as.
+// Client and ReqID are dropped: a replayed record has no waiter.
+func (u pUpdate) asBatch() pUpdateBatch {
+	return pUpdateBatch{Epoch: u.Epoch, TS: u.TS, Entries: []pBatchEntry{{
+		Update: u.Update, Result: u.Result,
+		Session: u.Session, Seq: u.Seq, Ack: u.Ack,
+	}}}
 }
 
 func (p *Passive) onChange(c pChange) {

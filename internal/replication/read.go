@@ -168,8 +168,8 @@ func (p *Passive) driveBarriers() {
 			close(g.done)
 			continue
 		}
-		// Like driveSession, this waits for the broadcast's own delivery,
-		// which the stack guarantees while the node runs; only a node
+		// Like the batcher's flush, this waits for the broadcast's own
+		// delivery, which the stack guarantees while the node runs; only a node
 		// stopped mid-flight strands the wait (readers still return via
 		// their individual timeouts — the replica is dead to them anyway).
 		delivered := <-ch

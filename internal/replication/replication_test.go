@@ -161,6 +161,7 @@ func buildPassive(t *testing.T, n int) ([]*Passive, []*regSM, []*core.Node, *tra
 	network, nodes := buildNodes(t, n, PassiveRelation(), mk, nil)
 	for i, r := range reps {
 		r.Bind(nodes[i])
+		t.Cleanup(r.StopBatching)
 	}
 	return reps, sms, nodes, network
 }
@@ -343,6 +344,7 @@ func buildCountingPassive(t *testing.T, n int) ([]*Passive, []*countingSM, *tran
 	network, nodes := buildNodes(t, n, PassiveRelation(), mk, nil)
 	for i, r := range reps {
 		r.Bind(nodes[i])
+		t.Cleanup(r.StopBatching)
 	}
 	return reps, sms, network
 }

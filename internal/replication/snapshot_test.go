@@ -79,10 +79,12 @@ func (r *snapKV) get(k string) string {
 func driveUpdates(p *Passive, session string, n int) {
 	for i := 1; i <= n; i++ {
 		p.deliverMu.Lock()
-		p.applyDelivered(pUpdate{
+		p.applyDelivered(pUpdateBatch{
 			Epoch: 0, Client: "x", ReqID: uint64(i),
-			Update: []byte(fmt.Sprintf("set k%d v%d", i, i)),
-			Result: []byte("ok"), Session: session, Seq: uint64(i),
+			Entries: []pBatchEntry{{
+				Update: []byte(fmt.Sprintf("set k%d v%d", i, i)),
+				Result: []byte("ok"), Session: session, Seq: uint64(i),
+			}},
 		})
 		p.deliverMu.Unlock()
 	}
@@ -121,10 +123,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// follower is suppressed as a duplicate.
 	before := smB.get("k3")
 	b.deliverMu.Lock()
-	b.applyDelivered(pUpdate{
-		Client: "x", ReqID: 99, Update: []byte("set k3 OTHER"),
-		Result: []byte("ok"), Session: "sess", Seq: 3,
-	})
+	b.applyDelivered(pUpdateBatch{Client: "x", ReqID: 99, Entries: []pBatchEntry{{
+		Update: []byte("set k3 OTHER"), Result: []byte("ok"), Session: "sess", Seq: 3,
+	}}})
 	b.deliverMu.Unlock()
 	if got := smB.get("k3"); got != before {
 		t.Fatalf("replayed duplicate mutated state: k3=%q", got)

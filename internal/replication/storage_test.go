@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/msg"
 	"repro/internal/proc"
 	"repro/internal/rchannel"
 	"repro/internal/storage"
@@ -93,14 +94,75 @@ func TestStorageKillKeepsAckedWrites(t *testing.T) {
 	}
 	// The dedup table replayed too: re-delivering an old update is a dup.
 	b.deliverMu.Lock()
-	b.applyDelivered(pUpdate{
-		Epoch: 0, Client: "x", ReqID: 99,
-		Update: []byte("set k3 EVIL"), Result: []byte("ok"),
-		Session: "sess", Seq: 3,
-	})
+	b.applyDelivered(pUpdateBatch{Epoch: 0, Client: "x", ReqID: 99, Entries: []pBatchEntry{{
+		Update: []byte("set k3 EVIL"), Result: []byte("ok"), Session: "sess", Seq: 3,
+	}}})
 	b.deliverMu.Unlock()
 	if got := smB.get("k3"); got != "v3" {
 		t.Fatalf("exactly-once lost across restart: k3=%q", got)
+	}
+}
+
+// legacyWAL is a WAL tail from before every write rode group commit, when a
+// write could travel alone as a per-operation pUpdate: a new session, an ack
+// that prunes its first seq, an ordered-class record, a duplicate, an
+// unsessioned write, and a second session acking ahead of its records. The
+// first record names the replaying replica ("a") as its originator.
+func legacyWAL() []any {
+	return []any{
+		pUpdate{Client: "a", ReqID: 1, Update: []byte("set k1 v1"), Result: []byte("r1"), Session: "s1", Seq: 1, TS: 100},
+		pUpdate{Client: "a", ReqID: 2, Update: []byte("set k2 v2"), Result: []byte("r2"), Session: "s1", Seq: 2, Ack: 1, TS: 200},
+		pChange{Old: ""},
+		pUpdate{Client: "x", ReqID: 3, Update: []byte("set k2 EVIL"), Result: []byte("r2x"), Session: "s1", Seq: 2, Ack: 1, TS: 300},
+		pUpdate{Client: "x", ReqID: 4, Update: []byte("set k3 v3"), Result: []byte("r3"), TS: 400},
+		pUpdate{Client: "x", ReqID: 5, Update: []byte("set k4 v4"), Result: []byte("r4"), Session: "s2", Seq: 7, Ack: 5, TS: 350},
+	}
+}
+
+// legacyState is the replicated state after applying legacyWAL (commit
+// index, dedup table, application state, commit timestamp), as recorded
+// from the per-operation apply path that wrote such records.
+const legacyState = `replication.pSnapshot{Version:0x1, Index:0x6, Epoch:0x0, ViewSeq:0x0, Members:[]proc.ID(nil), LeaseClock:0x0, Sessions:[]replication.pSessionSnap{replication.pSessionSnap{ID:"s1", Pruned:0x1, Deadline:0x4, Seqs:[]uint64{0x2}, Results:[][]uint8{[]uint8{0x72, 0x32}}}, replication.pSessionSnap{ID:"s2", Pruned:0x5, Deadline:0x4, Seqs:[]uint64{0x7}, Results:[][]uint8{[]uint8{0x72, 0x34}}}}, App:[]uint8{0x6b, 0x31, 0x3d, 0x76, 0x31, 0xa, 0x6b, 0x32, 0x3d, 0x76, 0x32, 0xa, 0x6b, 0x33, 0x3d, 0x76, 0x33, 0xa, 0x6b, 0x34, 0x3d, 0x76, 0x34, 0xa}, StateTS:400}`
+
+// TestStorageReplaysPerOperationRecords: a WAL holding per-operation
+// pUpdate records replays, as one-entry batches, to exactly the session
+// table, commit index and state the per-operation apply path produced.
+func TestStorageReplaysPerOperationRecords(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "r1")
+	eng := openFileEngine(t, dir)
+	for i, body := range legacyWAL() {
+		end := uint64(i + 1)
+		data, err := msg.Encode(LogRec{End: end, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Append(storage.Record{Index: end, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, _, _, rs := durableReplica(t, dir, "a", -1)
+	if rs.Records != 6 || rs.Ops != 6 {
+		t.Fatalf("replay: %+v (want 6 records, 6 ops)", rs)
+	}
+	if got := p.CommitIndex(); got != 6 {
+		t.Fatalf("commit index %d, want 6", got)
+	}
+	if applied, ignored, _ := p.Counters(); applied != 4 || ignored != 0 {
+		t.Fatalf("applied=%d ignored=%d, want 4 and 0", applied, ignored)
+	}
+	if d := p.Duplicates(); d != 1 {
+		t.Fatalf("duplicates %d, want 1", d)
+	}
+	snap, err := decodeSnapshot(p.StateDigest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%#v", snap); got != legacyState {
+		t.Fatalf("state after replay\n%s\nwant\n%s", got, legacyState)
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 // clears it the same way (the primary change is itself a delivery).
 //
 // That leaves one way to wedge: the pending work can evaporate without a
-// delivery (request timeouts deregister waiters; a failed broadcast attempt
-// resolves its batch with an error). A degraded primary with nothing in
+// delivery (an unsessioned write whose caller timed out stops counting; a
+// failed broadcast attempt resolves its batch with an error). A degraded primary with nothing in
 // flight has no probe — no delivery can ever clear the flag, yet every fresh
 // admission bounces, so nothing new can become the probe. The watchdog
 // breaks the cycle the way a circuit breaker half-opens: when it observes
@@ -60,8 +60,9 @@ type WatchdogConfig struct {
 	// CheckEvery is the poll cadence (default StallTimeout/4). The trip
 	// latency bound seen by clients is StallTimeout + CheckEvery.
 	CheckEvery time.Duration
-	// MaxPending bounds broadcasts-in-flight plus queued batch operations
-	// admitted at the primary (default 4096).
+	// MaxPending bounds the write operations admitted at the primary and
+	// not yet delivered (queued or in the in-flight batch, counted per
+	// entry) plus in-flight read barriers (default 4096).
 	MaxPending int
 }
 
@@ -181,22 +182,27 @@ func (p *Passive) watchdogLoop(cfg WatchdogConfig) {
 	}
 }
 
-// pendingLocked counts admitted work awaiting ordered progress: in-flight
-// broadcasts (single updates, batches, barriers) plus queued batch
-// operations. p.mu must be held.
+// pendingLocked counts admitted work awaiting ordered progress: queued and
+// in-flight write operations plus in-flight read barriers. p.mu must be
+// held.
 func (p *Passive) pendingLocked() int {
-	n := len(p.waiters) + len(p.batchWaiters) + len(p.barrierWaiters)
-	if b := p.batcher; b != nil {
-		n += b.pendingLen()
-	}
-	return n
+	return len(p.barrierWaiters) + p.batcher.pendingLen()
 }
 
-// pendingLen returns the number of queued (not yet flushed) operations.
+// pendingLen counts the queued operations plus every entry of the in-flight
+// batch that a caller still waits on. A sessioned entry always counts (a
+// retry may join it until delivery); an unsessioned one stops counting once
+// its caller's timeout expired.
 func (b *batcher) pendingLen() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.queue)
+	n := len(b.queue)
+	for _, op := range b.flying {
+		if !op.left.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // admitLocked is the watchdog's admission gate, called on every write/barrier

@@ -226,3 +226,33 @@ func TestWatchdogBoundsPendingQueue(t *testing.T) {
 	}
 	network.Heal()
 }
+
+// TestWatchdogCountsInFlightBatchEntries: MaxPending counts every entry of
+// the in-flight batch, not the batch as one, so a full batch in flight
+// already exhausts a bound of its size.
+func TestWatchdogCountsInFlightBatchEntries(t *testing.T) {
+	reps, _, _, network := buildPassive(t, 3)
+	const batch = 4
+	// The idle primary's fill window holds the first write until a full
+	// batch is queued, so the fill writes flush together as one batch.
+	reps[0].EnableBatching(BatchConfig{MaxOps: batch, MaxDelay: time.Second})
+	reps[0].StartWatchdog(WatchdogConfig{StallTimeout: time.Hour, CheckEvery: 10 * time.Millisecond, MaxPending: batch})
+	defer reps[0].StopWatchdog()
+
+	network.Partition([]proc.ID{"s1"}, []proc.ID{"s2", "s3"})
+	for i := 0; i < batch; i++ {
+		go func() {
+			_, _ = reps[0].RequestTimeout([]byte("fill"), 5*time.Second)
+		}()
+	}
+	waitCond(t, 2*time.Second, "full batch in flight", func() bool {
+		b := reps[0].batcher
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.flying) == batch
+	})
+	if _, err := reps[0].RequestTimeout([]byte("overflow"), 5*time.Second); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("overflow write: err=%v, want ErrDegraded", err)
+	}
+	network.Heal()
+}

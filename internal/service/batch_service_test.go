@@ -5,36 +5,19 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/replication"
 )
 
-// enableBatching switches the cluster's replicas to the group-commit write
-// path (gateways additionally need GatewayConfig.Batching via tweakGW).
-func (c *svcCluster) enableBatching(t *testing.T, cfg replication.BatchConfig) {
-	t.Helper()
-	for _, r := range c.reps {
-		r.EnableBatching(cfg)
-	}
-	t.Cleanup(func() {
-		for _, r := range c.reps {
-			r.StopBatching()
-		}
-	})
-}
-
-// buildBatchedService is buildService with the full group-commit pipeline
-// on: batching gateways over batching replicas.
+// buildBatchedService is buildService with pipelined gateway dispatch, so
+// one session's concurrent writes coalesce into the replicas' group-commit
+// batches.
 func buildBatchedService(t *testing.T, n int, tweakGW func(*GatewayConfig)) *svcCluster {
 	t.Helper()
-	c := buildService(t, n, func(cfg *GatewayConfig) {
+	return buildService(t, n, func(cfg *GatewayConfig) {
 		cfg.Batching = true
 		if tweakGW != nil {
 			tweakGW(cfg)
 		}
 	})
-	c.enableBatching(t, replication.BatchConfig{})
-	return c
 }
 
 // TestServiceBatchedPipelinedWrites drives concurrent writes through one

@@ -79,12 +79,13 @@ type GatewayConfig struct {
 	// RequestTimeout bounds the wait for one write's replicated delivery
 	// before answering TIMEOUT so the client can retry (default 5s).
 	RequestTimeout time.Duration
-	// Batching dispatches a session's queued writes concurrently (up to
-	// MaxInflight at once) instead of one at a time, so pipelined operations
-	// from one session coalesce into the replica's group-commit batches.
-	// Responses still carry their request Seq, so clients match them
-	// regardless of completion order. Enable it together with the replica's
-	// EnableBatching for the full group-commit write path.
+	// Batching selects per-session dispatch only: it runs a session's
+	// queued writes concurrently (up to MaxInflight at once) instead of one
+	// at a time, so pipelined operations from one session coalesce into the
+	// same group-commit batch (replicas batch either way). Only the serial
+	// mode (false) submits a session's writes in seq order; responses carry
+	// their request Seq, so clients match them regardless of completion
+	// order.
 	Batching bool
 	// SessionTTL is the idle-session lease: a session with no attached
 	// connection, no queued or in-flight operations, and no activity for
@@ -460,10 +461,10 @@ func (g *Gateway) session(id string, shard uint32) *gwSession {
 	if s, ok := g.sessions[id]; ok {
 		return s
 	}
-	// Unbatched, the queue IS the window: MaxInflight-1 buffered plus one in
-	// the worker. Batched, the window is the worker's slot semaphore, so the
-	// queue is a pure handoff — a buffered queue on top would double the
-	// session's unanswered-write bound.
+	// Serial dispatch: the queue IS the window, MaxInflight-1 buffered plus
+	// one in the worker. Pipelined (Batching), the window is the worker's
+	// slot semaphore, so the queue is a pure handoff — a buffered queue on
+	// top would double the session's unanswered-write bound.
 	depth := g.cfg.MaxInflight - 1
 	if g.cfg.Batching {
 		depth = 0
@@ -945,9 +946,9 @@ func (g *Gateway) observeInflight(n int64) {
 }
 
 // sessionWorker executes one session's writes, answering on whichever
-// connection the session currently has. Without batching, writes run
-// serially in arrival (= seq) order; with batching, up to MaxInflight run
-// concurrently so they coalesce into the replica's group-commit batches.
+// connection the session currently has. In serial dispatch, writes run one
+// at a time in arrival (= seq) order; pipelined (Batching), up to
+// MaxInflight run concurrently so they coalesce into one group-commit batch.
 func (g *Gateway) sessionWorker(s *gwSession) {
 	defer g.wg.Done()
 	if g.cfg.Batching {

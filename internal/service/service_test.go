@@ -102,6 +102,7 @@ func buildService(t *testing.T, n int, tweakGW func(*GatewayConfig)) *svcCluster
 			t.Fatal(err)
 		}
 		rep.Bind(node)
+		t.Cleanup(rep.StopBatching)
 		c.sms = append(c.sms, sm)
 		c.reps = append(c.reps, rep)
 		c.nodes = append(c.nodes, node)

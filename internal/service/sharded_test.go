@@ -66,6 +66,7 @@ func buildSharded(t *testing.T, n, shards int, tweakGW func(*GatewayConfig)) *sh
 				t.Fatal(err)
 			}
 			rep.Bind(node)
+			t.Cleanup(rep.StopBatching)
 			nodeStacks = append(nodeStacks, node)
 			nodeReps = append(nodeReps, rep)
 			nodeSMs = append(nodeSMs, sm)
@@ -425,18 +426,6 @@ func TestShardedClientFewerShards(t *testing.T) {
 func TestShardedBatching(t *testing.T) {
 	const shards = 2
 	c := buildSharded(t, 3, shards, func(cfg *GatewayConfig) { cfg.Batching = true })
-	for _, nodeReps := range c.reps {
-		for _, rep := range nodeReps {
-			rep.EnableBatching(replication.BatchConfig{})
-		}
-	}
-	t.Cleanup(func() {
-		for _, nodeReps := range c.reps {
-			for _, rep := range nodeReps {
-				rep.StopBatching()
-			}
-		}
-	})
 	client := c.newClient(t, nil)
 
 	const per = 20
