@@ -234,7 +234,7 @@ type Passive struct {
 	follower  bool        // catch-up replica: no node, log-driven deliveries
 	logBase   uint64      // commit index preceding the first retained log entry
 	log       []LogRec    // delivered commands covering (logBase, commitIdx]
-	logCap    int         // retained-entry bound (see DefaultLogCap)
+	logCap    int         // retained-operation bound (see DefaultLogCap)
 
 	// Follower proxies, installed by the Syncer: the read-index barrier
 	// (linearizable reads at a follower) and lease renewal forwarding.

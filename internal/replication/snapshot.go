@@ -47,8 +47,11 @@ import (
 // any other version.
 const snapshotVersion = 1
 
-// DefaultLogCap bounds the retained delivered-command log (entries, not
-// bytes). Joiners further behind than the window receive a snapshot.
+// DefaultLogCap bounds the retained delivered-command log in operations: a
+// batch of k entries counts k, every other command counts 1, so the log's
+// memory follows the operations it covers, not how many of them each commit
+// window happened to coalesce. Joiners further behind than the window
+// receive a snapshot.
 const DefaultLogCap = 1024
 
 // Snapshotter supplies and restores the application state machine's state
@@ -120,8 +123,9 @@ func (p *Passive) SetSnapshotter(s Snapshotter) {
 	p.snap = s
 }
 
-// SetLogCap bounds the delivered-command log to n entries (0 disables the
-// log: every joiner gets a snapshot). Call before the node starts.
+// SetLogCap bounds the delivered-command log to n operations (see
+// DefaultLogCap; 0 disables the log: every joiner gets a snapshot). Call
+// before the node starts.
 func (p *Passive) SetLogCap(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -161,12 +165,17 @@ func (p *Passive) logAppendLocked(body any) {
 		return
 	}
 	p.log = append(p.log, LogRec{End: p.commitIdx, Body: body})
-	if len(p.log) >= 2*p.logCap {
-		// Amortised trim: drop the oldest half in one copy instead of
-		// shifting per delivery.
-		drop := len(p.log) - p.logCap
-		p.logBase = p.log[drop-1].End
-		p.log = append(p.log[:0:0], p.log[drop:]...)
+	// The log covers (logBase, commitIdx], so the operations it retains are
+	// the difference. Amortised trim: once they reach 2×cap, drop in one
+	// copy every oldest record whose removal still leaves at least cap. The
+	// trim points are a function of the command sequence alone, so every
+	// replica that delivered the same sequence trims at the same index.
+	if keep := uint64(p.logCap); p.commitIdx-p.logBase >= 2*keep {
+		drop := sort.Search(len(p.log), func(i int) bool { return p.log[i].End > p.commitIdx-keep })
+		if drop > 0 {
+			p.logBase = p.log[drop-1].End
+			p.log = append(p.log[:0:0], p.log[drop:]...)
+		}
 	}
 }
 
@@ -336,6 +345,9 @@ func (p *Passive) installSnapshotLocked(data []byte) (uint64, bool, error) {
 		}
 		p.sessions[ss.ID] = rec
 	}
+	// The retained log restarts empty at the snapshot's index: the
+	// operations it counts (commitIdx - logBase) are zero once the index
+	// advances below.
 	p.log = nil
 	p.logBase = s.Index
 	restore := p.snap.Restore

@@ -2,11 +2,15 @@ package replication
 
 import (
 	"fmt"
-
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/proc"
+	"repro/internal/rchannel"
+	"repro/internal/transport"
 )
 
 // snapKV is a tiny deterministic state machine with snapshot support: ops
@@ -162,7 +166,7 @@ func TestLogCatchUp(t *testing.T) {
 	a.SetLogCap(8)
 	driveUpdates(a, "s", 30)
 
-	// Follower at cursor 26: within the window (log holds ≥ 8 entries).
+	// Follower at cursor 26: within the window (log holds ≥ 8 operations).
 	entries, ok := a.SyncSince(26, 100)
 	if !ok {
 		t.Fatalf("SyncSince(26) demanded a snapshot; want entries")
@@ -194,20 +198,126 @@ func TestLogCatchUp(t *testing.T) {
 	}
 }
 
-// TestLogBounded: the retained log never exceeds ~2× its cap and trims
-// from the front.
+// TestLogBounded: the retained log stays below 2× its cap in operations,
+// never under the cap once trimmed, and trims from the front.
 func TestLogBounded(t *testing.T) {
 	a := NewFollower(newSnapKV(), "a")
 	a.SetLogCap(16)
 	driveUpdates(a, "s", 500)
 	a.mu.Lock()
-	n, base := len(a.log), a.logBase
+	n, base, ops := len(a.log), a.logBase, a.commitIdx-a.logBase
 	a.mu.Unlock()
-	if n > 32 {
-		t.Fatalf("log holds %d entries with cap 16", n)
+	if ops < 16 || ops >= 32 || uint64(n) > ops {
+		t.Fatalf("log holds %d records covering %d operations with cap 16", n, ops)
 	}
 	if base == 0 {
 		t.Fatal("log never trimmed")
+	}
+}
+
+// TestLogCapCountsOperations: the retained log is bounded in operations —
+// a batch of k entries counts k, any other command 1 — every trim leaves
+// [cap, 2·cap) of them, replicas fed the same sequence trim at the same
+// index, and a pull below the retained window is answered with a snapshot.
+func TestLogCapCountsOperations(t *testing.T) {
+	const logCap = 8
+	var reps []*Passive
+	for _, id := range proc.IDs("a", "b", "c") {
+		sm := newSnapKV()
+		p := NewFollower(sm, id)
+		p.SetSnapshotter(sm.snapshotter())
+		p.SetLogCap(logCap)
+		reps = append(reps, p)
+	}
+	rng := rand.New(rand.NewPCG(54, 1))
+	trims := 0
+	for step := 1; step <= 400; step++ {
+		var cmd any = pChange{} // a no-op rotation: one operation
+		ops := uint64(1)
+		if rng.IntN(5) > 0 {
+			k := 1 + rng.IntN(logCap)
+			b := pUpdateBatch{Client: "x", ReqID: uint64(step)}
+			for i := 0; i < k; i++ {
+				b.Entries = append(b.Entries, pBatchEntry{Update: []byte(fmt.Sprintf("set k%d v%d", i, step))})
+			}
+			cmd, ops = b, uint64(k)
+		}
+		var base uint64
+		for i, p := range reps {
+			p.mu.Lock()
+			before := p.logBase
+			p.mu.Unlock()
+			p.deliverMu.Lock()
+			p.applyDelivered(cmd)
+			p.deliverMu.Unlock()
+
+			p.mu.Lock()
+			retained, last := p.commitIdx-p.logBase, p.log[len(p.log)-1]
+			prev := p.logBase
+			if len(p.log) > 1 {
+				prev = p.log[len(p.log)-2].End
+			}
+			if p.logBase != before && i == 0 {
+				trims++
+			}
+			if p.logBase != before && (retained < logCap || retained >= 2*logCap) {
+				t.Fatalf("step %d, %s: trim to %d leaves %d operations, want [%d, %d)",
+					step, p.self, p.logBase, retained, logCap, 2*logCap)
+			}
+			if retained >= 2*logCap {
+				t.Fatalf("step %d, %s: %d operations retained with cap %d", step, p.self, retained, logCap)
+			}
+			if last.End != p.commitIdx || last.End-prev != ops {
+				t.Fatalf("step %d, %s: a %d-operation command counted %d", step, p.self, ops, last.End-prev)
+			}
+			if i == 0 {
+				base = p.logBase
+			} else if p.logBase != base {
+				t.Fatalf("step %d: %s trimmed to %d, %s to %d", step, p.self, p.logBase, reps[0].self, base)
+			}
+			p.mu.Unlock()
+		}
+	}
+	if trims < 10 {
+		t.Fatalf("only %d trims in 400 commands", trims)
+	}
+
+	// Catch-up pulls against the first replica: a cursor at the window's
+	// base gets every retained record, one below it a snapshot.
+	donor := reps[0]
+	network := transport.NewNetwork(transport.WithSeed(54))
+	defer network.Shutdown()
+	dep := rchannel.New(network.Endpoint("a"), rchannel.WithRTO(10*time.Millisecond))
+	fep := rchannel.New(network.Endpoint("f"), rchannel.WithRTO(10*time.Millisecond))
+	got := make(chan sState, 1)
+	fep.Handle(SyncProto, func(_ proc.ID, body any) {
+		if m, ok := body.(sState); ok {
+			got <- m
+		}
+	})
+	dep.Start()
+	fep.Start()
+	defer dep.Stop()
+	defer fep.Stop()
+	pull := func(from uint64) sState {
+		t.Helper()
+		servePull(dep, donor, "f", sPull{ReqID: from, From: from}, 512)
+		select {
+		case m := <-got:
+			return m
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no answer to a pull from %d", from)
+			return sState{}
+		}
+	}
+	donor.mu.Lock()
+	base, records, idx := donor.logBase, len(donor.log), donor.commitIdx
+	donor.mu.Unlock()
+	if m := pull(base); m.Snapshot != nil || len(m.Entries) != records || m.Entries[len(m.Entries)-1].End != idx {
+		t.Fatalf("pull from the window's base %d: snapshot %v, %d of %d records", base, m.Snapshot != nil, len(m.Entries), records)
+	}
+	if m := pull(base - 1); m.Snapshot == nil || m.Entries != nil {
+		t.Fatalf("pull from %d, below the window's base %d, got %d records and no snapshot", base-1, base, len(m.Entries))
 	}
 }
 
