@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -31,9 +32,13 @@ type gobOnly struct {
 	M map[string]uint32
 }
 
+// intProbe is a bound fixture for Writer.Int.
+type intProbe struct{ X int64 }
+
 const (
 	tagProbe      = 0xf0
 	tagProbeBatch = 0xf1
+	tagIntProbe   = 0xf2
 )
 
 func init() {
@@ -54,6 +59,8 @@ func init() {
 		}
 		return b
 	})
+	msg.Bind(tagIntProbe, func(w *msg.Writer, p intProbe) { w.Int(p.X) },
+		func(r *msg.Reader) intProbe { return intProbe{X: r.Int()} })
 	msg.Register(gobOnly{})
 }
 
@@ -132,6 +139,18 @@ func TestGoldenFrames(t *testing.T) {
 	if !bytes.Equal(got, frame) {
 		t.Fatalf("nested gob frame\n% x\nwant\n% x", got, frame)
 	}
+}
+
+// TestIntZigzag pins Writer.Int's zigzag varint at the edges of int64: small
+// magnitudes of either sign stay one byte.
+func TestIntZigzag(t *testing.T) {
+	msgtest.Golden(t, intProbe{X: 0}, "00 f2 00")
+	msgtest.Golden(t, intProbe{X: -1}, "00 f2 01")
+	msgtest.Golden(t, intProbe{X: 1}, "00 f2 02")
+	msgtest.Golden(t, intProbe{X: -64}, "00 f2 7f")
+	msgtest.Golden(t, intProbe{X: 64}, "00 f2 8001")
+	msgtest.Golden(t, intProbe{X: math.MaxInt64}, "00 f2 feffffffffffffffff01")
+	msgtest.Golden(t, intProbe{X: math.MinInt64}, "00 f2 ffffffffffffffffff01")
 }
 
 func mustHex(t testing.TB, s string) []byte {

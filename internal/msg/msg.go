@@ -7,19 +7,24 @@
 //
 // Two encodings share one API, chosen by type and never by configuration:
 //
-//   - Bound types — the hot protocol messages of the group-communication
-//     core — use a hand-written binary encoding. Their owner package calls
-//     Bind from its init with a one-byte tag and an encode/decode function
-//     pair. A frame is [0x00][tag][body]. Fields are uvarints, single
-//     bytes, length-prefixed strings and byte slices, and nested `any`
-//     values, which recurse through the same tag dispatch: tagNil for a nil
-//     interface, a bound tag for a bound value, tagBytes for a []byte, and
-//     tagGob followed by a length-prefixed gob stream for any other
-//     registered value.
-//   - Every other registered type (service frames, replication payloads,
-//     WAL records, snapshots, application values) is a gob stream of an
-//     envelope, byte for byte what this package produced before binary
-//     bindings existed, so stored data needs no migration.
+//   - Bound types use a hand-written binary encoding: the protocol messages
+//     of the group-communication core, and every payload passive
+//     replication hands to generic broadcast (the update batch, the
+//     session and leader leases, the read barrier and the primary change),
+//     so the ordered path carries one encoding end to end. Their owner
+//     package calls Bind from its init with a one-byte tag and an
+//     encode/decode function pair. A frame is [0x00][tag][body]. Fields
+//     are uvarints, zigzag varints, single bytes, length-prefixed strings
+//     and byte slices, and nested `any` values, which recurse through the
+//     same tag dispatch: tagNil for a nil interface, a bound tag for a
+//     bound value, tagBytes for a []byte, and tagGob followed by a
+//     length-prefixed gob stream for any other registered value.
+//   - Every other registered type is a gob stream of an envelope, byte for
+//     byte what this package produced before binary bindings existed, so
+//     stored data needs no migration: the service frames, replication's
+//     WAL records, snapshots and state-transfer frames, and application
+//     values. A WAL record that holds a bound payload stays gob throughout,
+//     since gob encodes the nested value itself.
 //
 // Decode tells the two apart by the first byte: gob never writes an empty
 // message, so a gob stream never starts with 0x00. Decode copies everything
@@ -188,6 +193,10 @@ func (w *Writer) Bool(b bool) {
 
 // Uint writes x as a uvarint.
 func (w *Writer) Uint(x uint64) { w.buf = binary.AppendUvarint(w.buf, x) }
+
+// Int writes x zigzag-encoded as a uvarint, so small negative values stay
+// short.
+func (w *Writer) Int(x int64) { w.Uint(uint64(x<<1) ^ uint64(x>>63)) }
 
 // Len writes a slice length (the count a decoder reads with Reader.Len).
 func (w *Writer) Len(n int) { w.Uint(uint64(n)) }
@@ -364,6 +373,12 @@ func (r *Reader) Uint() uint64 {
 	}
 	r.off += n
 	return x
+}
+
+// Int reads a zigzag-encoded integer written by Writer.Int.
+func (r *Reader) Int() int64 {
+	u := r.Uint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Len reads a slice length written by Writer.Len. Every element takes at

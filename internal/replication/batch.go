@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/msg"
 	"repro/internal/proc"
 )
 
@@ -61,11 +60,6 @@ type (
 		TS int64
 	}
 )
-
-func init() {
-	msg.Register(pBatchEntry{})
-	msg.Register(pUpdateBatch{})
-}
 
 // BatchConfig tunes the primary-side group-commit batcher.
 type BatchConfig struct {

@@ -3,7 +3,6 @@ package replication
 import (
 	"time"
 
-	"repro/internal/msg"
 	"repro/internal/proc"
 )
 
@@ -68,10 +67,6 @@ type pLeaderLease struct {
 	Holder proc.ID
 	TTLns  int64
 	TS     int64 // unix nanos at the holder when the renewal was broadcast
-}
-
-func init() {
-	msg.Register(pLeaderLease{})
 }
 
 // LeaderLeaseConfig tunes the leadership lease.

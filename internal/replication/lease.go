@@ -1,10 +1,6 @@
 package replication
 
-import (
-	"fmt"
-
-	"repro/internal/msg"
-)
+import "fmt"
 
 // Replicated session lease: expiry of the (session, seq) dedup table as
 // ordered messages, so every replica prunes identically.
@@ -49,10 +45,6 @@ type pLease struct {
 	Epoch    uint64
 	Tick     bool // advances the lease clock; set by the primary's gateway
 	Sessions []string
-}
-
-func init() {
-	msg.Register(pLease{})
 }
 
 // LeaseStats is the replicated lease accounting at this replica.

@@ -100,7 +100,6 @@ type (
 
 func init() {
 	msg.Register(pUpdate{})
-	msg.Register(pChange{})
 }
 
 // Errors returned by Request.

@@ -5,7 +5,6 @@ import (
 
 	"time"
 
-	"repro/internal/msg"
 	"repro/internal/proc"
 )
 
@@ -43,10 +42,6 @@ type pBarrier struct {
 	// idx is delivery-local (never encoded): the commit index at this
 	// replica when the barrier was counted.
 	idx uint64
-}
-
-func init() {
-	msg.Register(pBarrier{})
 }
 
 // BarrierStats is the read-barrier accounting.
