@@ -37,6 +37,17 @@ func TestCodecBinding(t *testing.T) {
 	msgtest.Golden(t, pChange{Old: "s1"}, "00 54 02 7331")
 	msgtest.Golden(t, pChange{}, "00 54 00")
 
+	// Counts beyond the bytes that remain are refused before anything is
+	// allocated for them.
+	for _, frame := range [][]byte{
+		{0x00, tagUpdateBatch, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		{0x00, tagLease, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x01},
+	} {
+		if v, err := msg.Decode(frame); err == nil {
+			t.Fatalf("% x decoded to %#v", frame, v)
+		}
+	}
+
 	rng := rand.New(rand.NewPCG(54, 2))
 	for i := 0; i < 200; i++ {
 		msgtest.RoundTrip(t, seededBatch(rng, rng.IntN(6)))
@@ -142,7 +153,12 @@ func TestUpdateBatchAllocBudget(t *testing.T) {
 // nests a gob stream, so their encoding is canonical).
 func FuzzReplicationPayloads(f *testing.F) {
 	for _, v := range []any{
-		writeSatBatch(),
+		// Small seeds: the fuzzer minimizes every new input it finds
+		// interesting, and a long one stalls it for seconds each time.
+		pUpdateBatch{Epoch: 1, Client: "p1", ReqID: 1, TS: -1, Entries: []pBatchEntry{
+			{Update: []byte("set"), Result: []byte("ok"), Session: "c", Seq: 300, Ack: 299},
+			{Update: []byte{1}, Seq: 1},
+		}},
 		pLeaderLease{Epoch: 3, Holder: "s2", TTLns: 1000, TS: -5},
 		pLease{Epoch: 1, Tick: true, Sessions: []string{"a", "bc"}},
 		pBarrier{Epoch: 4, Client: "s1", ReqID: 9, TS: -1},
@@ -169,25 +185,22 @@ func FuzzReplicationPayloads(f *testing.F) {
 	})
 }
 
-// gbcastPayloads is one value of every type Passive hands to Node.Gbcast,
-// with its tag.
-var gbcastPayloads = []struct {
-	v   any
-	tag byte
-}{
-	{writeSatBatch(), tagUpdateBatch},
-	{pLeaderLease{Epoch: 1, Holder: "s1", TTLns: 1, TS: 1}, tagLeaderLease},
-	{pLease{Epoch: 1, Tick: true, Sessions: []string{"c"}}, tagLease},
-	{pBarrier{Epoch: 1, Client: "s1", ReqID: 1, TS: 1}, tagBarrier},
-	{pChange{Old: "s1"}, tagChange},
-}
-
 // TestWireShape: every payload replication g-broadcasts is a binary frame
 // under its own tag whose type has no interface field, so nothing in it can
 // nest a gob stream; the records that stay gob (a LogRec holding a batch,
 // the replay-only pUpdate) still do.
 func TestWireShape(t *testing.T) {
-	for _, c := range gbcastPayloads {
+	// One value of every type Passive hands to Node.Gbcast, with its tag.
+	for _, c := range []struct {
+		v   any
+		tag byte
+	}{
+		{writeSatBatch(), tagUpdateBatch},
+		{pLeaderLease{Epoch: 1, Holder: "s1", TTLns: 1, TS: 1}, tagLeaderLease},
+		{pLease{Epoch: 1, Tick: true, Sessions: []string{"c"}}, tagLease},
+		{pBarrier{Epoch: 1, Client: "s1", ReqID: 1, TS: 1}, tagBarrier},
+		{pChange{Old: "s1"}, tagChange},
+	} {
 		frame, err := msg.Encode(c.v)
 		if err != nil {
 			t.Fatal(err)
