@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/msg"
 	"repro/internal/msg/msgtest"
@@ -245,6 +246,48 @@ func TestBoundConcurrent(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestInternKeepsWorkingSet: once a process has met far more distinct
+// strings than the intern table holds, a string that keeps recurring (a
+// client's session ID) is still served from the table, so decoding it
+// allocates no string.
+func TestInternKeepsWorkingSet(t *testing.T) {
+	decode := func(name string) probeFrame {
+		frame, err := msg.Encode(probeFrame{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := msg.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.(probeFrame)
+	}
+	for i := 0; i < 4096; i++ {
+		decode(fmt.Sprintf("cold-session-%d", i))
+	}
+	const session = "c7f3a9e2-recurring"
+	frame, err := msg.Encode(probeFrame{Name: session})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := decode(session)
+	for i := 0; i < 100; i++ {
+		// Cold strings keep arriving between the recurring one's frames.
+		decode(fmt.Sprintf("late-cold-%d", i))
+		if got := decode(session); unsafe.StringData(got.Name) != unsafe.StringData(first.Name) {
+			t.Fatalf("decode %d of a recurring session ID allocated a new string", i)
+		}
+	}
+	box := testing.AllocsPerRun(100, func() {
+		if _, err := msg.Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if box > 1 {
+		t.Fatalf("decoding a frame whose only string recurs costs %.1f allocs, want 1 (the boxed value)", box)
 	}
 }
 

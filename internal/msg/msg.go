@@ -455,42 +455,41 @@ func (r *Reader) bound(tag byte) any {
 }
 
 // Interning: the strings of bound types repeat in every frame (process IDs,
-// protocol and class names), so the first copy of each short one is kept
-// and shared. The table is copy-on-write and capped, so hostile or unusual
-// input costs allocations, never unbounded memory.
+// protocol and class names, client session IDs), so short ones are served
+// from a fixed table: a set-associative cache indexed by an FNV-1a hash of
+// the bytes. A miss puts the new string in its set's first way and shifts
+// the others down, evicting the last. A working set stays resident however
+// many other strings the process has met, an insert is O(1), and memory is
+// bounded whatever the input. Slots are atomic pointers, so lookups take no
+// lock; racing inserts can only evict an entry early, never serve a wrong
+// one.
 const (
-	maxInterned    = 1024
+	internSets     = 512
+	internWays     = 4
 	maxInternedLen = 64
 )
 
-var (
-	internMu sync.Mutex
-	interned atomic.Pointer[map[string]string]
-)
+var internTable [internSets * internWays]atomic.Pointer[string]
 
 func intern(b []byte) string {
-	if m := interned.Load(); m != nil {
-		if s, ok := (*m)[string(b)]; ok {
-			return s
+	if len(b) > maxInternedLen {
+		return string(b)
+	}
+	h := uint32(2166136261)
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	set := internTable[h%internSets*internWays:][:internWays]
+	for i := range set {
+		if p := set[i].Load(); p != nil && *p == string(b) {
+			return *p
 		}
 	}
 	s := string(b)
-	if len(s) > maxInternedLen {
-		return s
+	for i := internWays - 1; i > 0; i-- {
+		set[i].Store(set[i-1].Load())
 	}
-	internMu.Lock()
-	defer internMu.Unlock()
-	old := interned.Load()
-	if old != nil && len(*old) >= maxInterned {
-		return s
-	}
-	next := map[string]string{s: s}
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	interned.Store(&next)
+	set[0].Store(&s)
 	return s
 }
 

@@ -114,9 +114,8 @@ func writeSatBatch() pUpdateBatch {
 // TestUpdateBatchAllocBudget: decoding a 19-entry update batch costs the
 // boxed value, the entry slice and one allocation per non-empty byte
 // slice, where a nested gob stream cost several hundred. Strings cost
-// nothing once interned; the intern table is process-wide and capped, and
-// other tests may have filled it, so a string it could not take is
-// counted.
+// nothing once interned; the intern table is a process-wide bounded cache,
+// so a string it evicted between the two warm-up decodes is counted.
 func TestUpdateBatchAllocBudget(t *testing.T) {
 	u := writeSatBatch()
 	frame, err := msg.Encode(u)
