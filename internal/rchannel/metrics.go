@@ -41,7 +41,7 @@ func (e *Endpoint) RegisterMetrics(s *telemetry.Scope) {
 			defer e.mu.Unlock()
 			n := 0
 			for _, out := range e.out {
-				n += len(out.unacked)
+				n += len(out.unacked())
 			}
 			return float64(n)
 		})

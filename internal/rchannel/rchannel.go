@@ -10,6 +10,16 @@
 // unreliable transport, so that it works identically on the simulated
 // network and on TCP.
 //
+// Acknowledgements are cumulative and ride on data: every data frame
+// carries the sender's in-order point for the receiver, so a peer that
+// answers (consensus replies, gbcast acks, relays) acknowledges for free.
+// The receiver sends a bare ack at once only for a duplicate, which is the
+// sender's retransmission asking for one; any other ack it owes is sent by
+// the retransmit tick, at most one bare ack per peer per tick (every
+// RTO/2), and only when its in-order point has passed what any frame has
+// already carried to that peer. A lost ack, piggybacked or bare, costs one
+// retransmission, whose duplicate is acknowledged at once.
+//
 // The component also produces "output-triggered suspicions" [12]
 // (Section 3.3.2): when a message stays unacknowledged longer than a
 // threshold, the registered OnStuck callback fires so that the monitoring
@@ -151,12 +161,18 @@ type Endpoint struct {
 	done sync.WaitGroup
 }
 
+// outState is the sending side toward one peer. q[head:] is the
+// unacknowledged backlog in seq order, one frame per seq with no gaps: an
+// ack drops a prefix by advancing head, and push reuses the dead front
+// before growing the array.
 type outState struct {
 	nextSeq uint64
-	unacked map[uint64]*pending
+	q       []pending
+	head    int
 }
 
 type pending struct {
+	seq       uint64
 	frame     []byte
 	firstSent time.Time
 	lastSent  time.Time
@@ -164,8 +180,40 @@ type pending struct {
 	notified  bool
 }
 
+// unacked is the backlog, oldest first.
+func (o *outState) unacked() []pending { return o.q[o.head:] }
+
+// push appends a frame to the backlog. A full array whose dead front is at
+// least half of it is compacted instead of grown, so a steady backlog costs
+// no allocation and each frame is copied at most once per compaction.
+func (o *outState) push(p pending) {
+	if len(o.q) == cap(o.q) && 2*o.head >= len(o.q) && o.head > 0 {
+		n := copy(o.q, o.q[o.head:])
+		clear(o.q[n:])
+		o.q, o.head = o.q[:n], 0
+	}
+	o.q = append(o.q, p)
+}
+
+// ack drops every frame with seq <= ack and reports how many of them had
+// been retransmitted.
+func (o *outState) ack(ack uint64) (retried uint64) {
+	for o.head < len(o.q) && o.q[o.head].seq <= ack {
+		if o.q[o.head].attempts > 0 {
+			retried++
+		}
+		o.q[o.head] = pending{} // release the frame
+		o.head++
+	}
+	if o.head == len(o.q) {
+		o.q, o.head = o.q[:0], 0
+	}
+	return retried
+}
+
 type inState struct {
 	expected uint64 // next in-order sequence to deliver
+	acked    uint64 // highest cumulative ack any frame has carried to the peer
 	oob      map[uint64]wire
 }
 
@@ -256,9 +304,9 @@ func (e *Endpoint) Send(to proc.ID, proto string, body any) error {
 		return e.sendLocal(wire{Kind: kindData, Proto: proto, Body: body})
 	}
 	e.mu.Lock()
-	out := e.outLocked(to)
+	out, in := e.outLocked(to), e.inLocked(to)
 	out.nextSeq++
-	w := wire{Kind: kindData, Seq: out.nextSeq, Ack: e.inAckLocked(to), Proto: proto, Body: body,
+	w := wire{Kind: kindData, Seq: out.nextSeq, Ack: in.expected - 1, Proto: proto, Body: body,
 		Inc: e.inc, PInc: e.peerInc[to]}
 	frame, err := msg.Encode(w)
 	if err != nil {
@@ -266,8 +314,9 @@ func (e *Endpoint) Send(to proc.ID, proto string, body any) error {
 		e.mu.Unlock()
 		return fmt.Errorf("rchannel send to %s: %w", to, err)
 	}
+	in.acked = w.Ack
 	now := time.Now()
-	out.unacked[w.Seq] = &pending{frame: frame, firstSent: now, lastSent: now}
+	out.push(pending{seq: w.Seq, frame: frame, firstSent: now, lastSent: now})
 	e.mu.Unlock()
 	e.tr.Send(to, frame)
 	return nil
@@ -334,7 +383,7 @@ func (e *Endpoint) sendLocal(w wire) error {
 func (e *Endpoint) outLocked(to proc.ID) *outState {
 	out, ok := e.out[to]
 	if !ok {
-		out = &outState{unacked: make(map[uint64]*pending)}
+		out = &outState{}
 		e.out[to] = out
 	}
 	return out
@@ -347,12 +396,6 @@ func (e *Endpoint) inLocked(from proc.ID) *inState {
 		e.in[from] = in
 	}
 	return in
-}
-
-// inAckLocked returns the cumulative ack value for from (highest in-order
-// sequence received).
-func (e *Endpoint) inAckLocked(from proc.ID) uint64 {
-	return e.inLocked(from).expected - 1
 }
 
 func (e *Endpoint) dispatchLoop() {
@@ -491,17 +534,8 @@ func (e *Endpoint) applyAck(from proc.ID, ack uint64) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out, ok := e.out[from]
-	if !ok {
-		return
-	}
-	for seq, p := range out.unacked {
-		if seq <= ack {
-			if p.attempts > 0 {
-				e.statBackoffResets++
-			}
-			delete(out.unacked, seq)
-		}
+	if out, ok := e.out[from]; ok {
+		e.statBackoffResets += out.ack(ack)
 	}
 }
 
@@ -514,9 +548,11 @@ func (e *Endpoint) handleData(from proc.ID, w wire) {
 
 	e.mu.Lock()
 	in := e.inLocked(from)
+	dup := w.Seq < in.expected
 	switch {
-	case w.Seq < in.expected:
-		// Duplicate: re-acknowledge below.
+	case dup:
+		// The sender retransmitted because no ack reached it: answer now.
+		in.acked = in.expected - 1
 	case w.Seq == in.expected:
 		deliveries = append(deliveries, delivery{w.Proto, w.Body})
 		in.expected++
@@ -538,16 +574,16 @@ func (e *Endpoint) handleData(from proc.ID, w wire) {
 	pinc := e.peerInc[from]
 	e.mu.Unlock()
 
-	e.sendAck(from, ack, pinc)
+	if dup {
+		e.sendAck(from, ack, pinc)
+	}
 	for _, d := range deliveries {
 		e.dispatch(from, d.proto, d.body)
 	}
 }
 
-// sendAck emits a cumulative ack. pinc is the peer's incarnation, captured
-// by the caller inside an already-held critical section — acks are the
-// highest-frequency frame on the wire, so they must not pay an extra lock
-// round-trip of their own.
+// sendAck emits a bare cumulative ack. pinc is the peer's incarnation,
+// captured by the caller inside the critical section that chose the ack.
 func (e *Endpoint) sendAck(to proc.ID, ack, pinc uint64) {
 	w := wire{Kind: kindAck, Ack: ack, Inc: e.inc, PInc: pinc}
 	// Never retained, so acks use the pooled transient encode path.
@@ -589,23 +625,39 @@ func (e *Endpoint) retransmitLoop() {
 	}
 }
 
+// retransmitPass is one tick: it sends the bare acks owed to each peer,
+// re-sends the frames whose backoff has run out and raises stuck
+// notifications.
 func (e *Endpoint) retransmitPass() {
 	now := time.Now()
 	type resend struct {
 		to    proc.ID
 		frame []byte
 	}
+	type bareAck struct {
+		to        proc.ID
+		ack, pinc uint64
+	}
 	var (
 		resends []resend
+		acks    []bareAck
 		stuck   []proc.ID
 		ages    []time.Duration
 		onStuck StuckFunc
 	)
 	e.mu.Lock()
 	onStuck = e.onStuck
+	for from, in := range e.in {
+		// Acks no data frame has carried since the last tick.
+		if ack := in.expected - 1; ack > in.acked {
+			in.acked = ack
+			acks = append(acks, bareAck{to: from, ack: ack, pinc: e.peerInc[from]})
+		}
+	}
 	for to, out := range e.out {
-		var oldest *pending
-		for _, p := range out.unacked {
+		u := out.unacked()
+		for i := range u {
+			p := &u[i]
 			// Exponential backoff per frame (capped at 32×RTO): a fixed
 			// retransmission interval MULTIPLIES offered load exactly when
 			// the network is congested or the peer is slow/dead, which can
@@ -618,19 +670,20 @@ func (e *Endpoint) retransmitPass() {
 				e.statRetrans++
 				resends = append(resends, resend{to: to, frame: p.frame})
 			}
-			if oldest == nil || p.firstSent.Before(oldest.firstSent) {
-				oldest = p
-			}
 		}
-		if oldest != nil && e.stuckAfter > 0 && !oldest.notified &&
-			now.Sub(oldest.firstSent) >= e.stuckAfter {
-			oldest.notified = true
+		// The backlog is in seq order, so its head is the oldest frame.
+		if len(u) > 0 && e.stuckAfter > 0 && !u[0].notified &&
+			now.Sub(u[0].firstSent) >= e.stuckAfter {
+			u[0].notified = true
 			stuck = append(stuck, to)
-			ages = append(ages, now.Sub(oldest.firstSent))
+			ages = append(ages, now.Sub(u[0].firstSent))
 		}
 	}
 	e.mu.Unlock()
 
+	for _, a := range acks {
+		e.sendAck(a.to, a.ack, a.pinc)
+	}
 	for _, r := range resends {
 		e.tr.Send(r.to, r.frame)
 	}
@@ -649,7 +702,7 @@ func (e *Endpoint) PeerState(peer proc.ID) (outNext uint64, unacked int, inExpec
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if o, ok := e.out[peer]; ok {
-		outNext, unacked = o.nextSeq, len(o.unacked)
+		outNext, unacked = o.nextSeq, len(o.unacked())
 	}
 	if i, ok := e.in[peer]; ok {
 		inExpected, oob = i.expected, len(i.oob)
@@ -666,7 +719,7 @@ func (e *Endpoint) PendingTo(peer proc.ID) int {
 	if !ok {
 		return 0
 	}
-	return len(out.unacked)
+	return len(out.unacked())
 }
 
 // DiscardPeer drops all buffered state for peer. The monitoring component
