@@ -850,12 +850,33 @@ func (c *cluster) converge(timeout time.Duration) []uint64 {
 					c.t.Logf("shard %d: follower %s at index %d (gauge %d, registered %v)",
 						k, e.id, e.reps[k].CommitIndex(), g, ok)
 				}
+				c.dumpCoreChannels(k)
 				c.t.Fatalf("shard %d never converged on a commit index (target %d)", k, target)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	return targets
+}
+
+// dumpCoreChannels logs shard k's reliable-channel state between every
+// ordered pair of live cores, so a stalled run shows whether the stall sits
+// in the channel (a receiver whose inExpected is stuck with frames buffered
+// out of order, or a sender whose backlog never drains) or above it.
+func (c *cluster) dumpCoreChannels(k int) {
+	live := c.liveCores()
+	for _, a := range live {
+		ep := a.nds[k].Endpoint()
+		c.t.Logf("shard %d: core %s channel stats %+v", k, a.id, ep.Stats())
+		for _, b := range live {
+			if a == b {
+				continue
+			}
+			outNext, unacked, inExpected, oob := ep.PeerState(b.id)
+			c.t.Logf("  %s->%s: outNext=%d unacked=%d PendingTo=%d inExpected(from %s)=%d oob=%d peerInc=%d",
+				a.id, b.id, outNext, unacked, ep.PendingTo(b.id), b.id, inExpected, oob, ep.PeerIncarnation(b.id))
+		}
+	}
 }
 
 // checkGroupCommit asserts that every shard's primary among the live cores

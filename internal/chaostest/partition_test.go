@@ -277,13 +277,22 @@ func TestPartitionChaos(t *testing.T) {
 	wg.Wait()
 
 	var acked []string
+	failed := false
 	for ci, st := range stats {
 		st.mu.Lock()
 		acked = append(acked, st.acked...)
 		for _, f := range st.fails {
 			t.Errorf("client %d: %s", ci, f)
+			failed = true
 		}
 		st.mu.Unlock()
+	}
+	if failed {
+		// A write that timed out is a stall that may still be on: show the
+		// channels now, before convergence gets a chance to clear it.
+		for k := 0; k < shards; k++ {
+			c.dumpCoreChannels(k)
+		}
 	}
 	if len(acked) == 0 {
 		t.Fatal("no op was ever acknowledged")
