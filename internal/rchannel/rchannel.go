@@ -187,7 +187,7 @@ func (o *outState) unacked() []pending { return o.q[o.head:] }
 // least half of it is compacted instead of grown, so a steady backlog costs
 // no allocation and each frame is copied at most once per compaction.
 func (o *outState) push(p pending) {
-	if len(o.q) == cap(o.q) && 2*o.head >= len(o.q) && o.head > 0 {
+	if len(o.q) == cap(o.q) && 2*o.head >= len(o.q) {
 		n := copy(o.q, o.q[o.head:])
 		clear(o.q[n:])
 		o.q, o.head = o.q[:n], 0
