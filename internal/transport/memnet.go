@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"container/heap"
 	"math/rand"
 	"sync"
 	"time"
@@ -60,19 +59,52 @@ type delayedPkt struct {
 	pkt Packet
 }
 
-// delayHeap is a min-heap of delayedPkt by delivery time.
+// delayHeap is a min-heap of delayedPkt by delivery time. It is typed
+// rather than driven through container/heap, whose Push and Pop box every
+// packet into an interface value: two allocations per delayed packet.
 type delayHeap []delayedPkt
 
-func (h delayHeap) Len() int           { return len(h) }
-func (h delayHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(delayedPkt)) }
-func (h *delayHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h delayHeap) less(i, j int) bool { return h[i].at.Before(h[j].at) }
+
+// push adds d.
+func (h *delayHeap) push(d delayedPkt) {
+	*h = append(*h, d)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest packet; the heap must not be empty.
+// The vacated slot is zeroed so the array does not pin the frame.
+func (h *delayHeap) pop() delayedPkt {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s[last] = delayedPkt{}
+	s = s[:last]
+	for i := 0; ; {
+		least, l := i, 2*i+1
+		if l < len(s) && s.less(l, least) {
+			least = l
+		}
+		if r := l + 1; r < len(s) && s.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
 }
 
 type link struct{ a, b proc.ID }
@@ -424,7 +456,7 @@ func (n *Network) schedule(d delayedPkt) {
 		PutFrame(d.pkt.Data)
 		return
 	}
-	heap.Push(&n.schedHeap, d)
+	n.schedHeap.push(d)
 	next := n.schedHeap[0].at
 	n.schedMu.Unlock()
 	if next.Equal(d.at) {
@@ -452,6 +484,10 @@ func (n *Network) schedule(d delayedPkt) {
 func (n *Network) deliverLoop() {
 	defer n.schedDone.Done()
 	kernelWaits := 0 // sub-millisecond waits left to spend in the kernel
+	// The due batch and the crash-state copy are reused from turn to turn,
+	// so a steady stream of packets costs the loop no allocation.
+	var due []delayedPkt
+	crashed := make(map[proc.ID]bool)
 	for {
 		// The token comes first: a wake after it (a packet due sooner, or
 		// Shutdown) makes the wait below return at once.
@@ -469,10 +505,9 @@ func (n *Network) deliverLoop() {
 		default:
 		}
 		now := time.Now()
-		var due []delayedPkt
 		n.schedMu.Lock()
 		for len(n.schedHeap) > 0 && !n.schedHeap[0].at.After(now) {
-			due = append(due, heap.Pop(&n.schedHeap).(delayedPkt))
+			due = append(due, n.schedHeap.pop())
 		}
 		var next time.Time // zero: nothing scheduled
 		if len(n.schedHeap) > 0 {
@@ -484,7 +519,7 @@ func (n *Network) deliverLoop() {
 			// One crash-state read per batch: the scheduler must not queue
 			// on n.mu once per packet while senders hammer the same lock.
 			n.mu.Lock()
-			crashed := make(map[proc.ID]bool, len(n.crashed))
+			clear(crashed)
 			for id := range n.crashed {
 				crashed[id] = true
 			}
@@ -497,6 +532,8 @@ func (n *Network) deliverLoop() {
 				}
 				d.dst.enqueue(d.pkt)
 			}
+			clear(due) // drop the frame references before the next turn
+			due = due[:0]
 		}
 
 		wait := time.Duration(-1) // nothing scheduled: wait for a wake
