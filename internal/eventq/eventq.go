@@ -13,9 +13,14 @@ import "sync"
 
 // Queue is an unbounded multiple-producer single-consumer FIFO.
 // The zero value is not usable; call New.
+//
+// items[head:] is the queue. TryPop advances head and zeroes the slot it
+// leaves, so consumed items are not pinned; Push reuses the dead front
+// before it grows the array.
 type Queue[T any] struct {
 	mu     sync.Mutex
 	items  []T
+	head   int
 	notify chan struct{}
 	closed bool
 }
@@ -32,6 +37,14 @@ func (q *Queue[T]) Push(v T) {
 		q.mu.Unlock()
 		return
 	}
+	// A full array whose dead front is at least half of it is compacted
+	// instead of grown, so a steady backlog costs no allocation and each
+	// item is copied at most once per compaction.
+	if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, v)
 	q.mu.Unlock()
 	select {
@@ -44,15 +57,15 @@ func (q *Queue[T]) Push(v T) {
 func (q *Queue[T]) TryPop() (T, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		var zero T
+	var zero T
+	if q.head == len(q.items) {
 		return zero, false
 	}
-	v := q.items[0]
-	// Shift rather than re-slice so the backing array does not pin
-	// already-consumed items.
-	copy(q.items, q.items[1:])
-	q.items = q.items[:len(q.items)-1]
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return v, true
 }
 
@@ -64,7 +77,7 @@ func (q *Queue[T]) Wait() <-chan struct{} { return q.notify }
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return len(q.items) - q.head
 }
 
 // Close marks the queue closed; subsequent Pushes are dropped.
@@ -72,5 +85,5 @@ func (q *Queue[T]) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	q.items = nil
+	q.items, q.head = nil, 0
 }
