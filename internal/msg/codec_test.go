@@ -3,6 +3,7 @@ package msg_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/msg/msgtest"
+	_ "repro/internal/rchannel" // binds the channel frame FuzzDecode cross-checks
 )
 
 // probeFrame is a bound fixture that uses every field kind a Writer offers.
@@ -335,10 +337,63 @@ func TestBindRejectsMisuse(t *testing.T) {
 	}
 }
 
+// TestCodecRejects: a typed Codec accepts only a binary frame of its own
+// type, whole: a frame of another bound type, a gob stream (even of a value
+// of its type), a truncated frame and one with trailing bytes are errors.
+func TestCodecRejects(t *testing.T) {
+	c, ok := msg.CodecOf[probeFrame]()
+	if !ok {
+		t.Fatal("probeFrame has no Codec")
+	}
+	if _, ok := msg.CodecOf[gobOnly](); ok {
+		t.Fatal("an unbound type has a Codec")
+	}
+	frame, err := c.Encode(probeFrame{Seq: 300, Name: "p1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := msg.Encode(intProbe{X: 1})
+	gobbed := gobStream(t, probeFrame{Seq: 300, Name: "p1"})
+	for name, data := range map[string][]byte{
+		"wrong tag":  other,
+		"gob frame":  gobbed,
+		"empty":      nil,
+		"mark only":  frame[:1],
+		"truncated":  frame[:len(frame)-1],
+		"trailing":   append(bytes.Clone(frame), 0),
+		"nested tag": {0x00, tagProbe, 0, 0, 0, 0, 0, 0xee},
+	} {
+		if v, err := c.Decode(data); err == nil {
+			t.Errorf("%s: Codec.Decode(% x) accepted %#v", name, data, v)
+		}
+	}
+	if v, err := c.Decode(frame); err != nil || v.Seq != 300 || v.Name != "p1" {
+		t.Fatalf("Codec.Decode(% x) = %#v, %v", frame, v, err)
+	}
+}
+
+// gobStream is v as one gob envelope, the form Decode reads for a frame
+// that does not start with the binary mark.
+func gobStream(t *testing.T, v any) []byte {
+	t.Helper()
+	type envelope struct{ V any }
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(envelope{V: v}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// wireTag is the reliable channel's frame tag; its Codec carries every
+// packet of the stack, so FuzzDecode cross-checks it on every input.
+const wireTag = 0x10
+
 // FuzzDecode: Decode never panics, and every binary frame it accepts
 // re-encodes to the same bytes. Gob's own bytes are not canonical, so a frame
 // that nests a gob stream may re-encode differently; it must then decode to
-// the same value and re-encode to itself.
+// the same value and re-encode to itself. On every input, the channel
+// frame's typed Codec and the Codec of the tag the frame names accept
+// exactly what Decode accepts as their type, and read the same value.
 func FuzzDecode(f *testing.F) {
 	for _, v := range []any{
 		[]byte{0xde, 0xad},
@@ -354,8 +409,14 @@ func FuzzDecode(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add(nested(msg.MaxDepth + 1))
+	// A channel data frame carrying a nested probe frame.
+	f.Add([]byte{0x00, wireTag, 0x01, 0x05, 0x04, 0x02, 0x63, 0x73, tagIntProbe, 0x03, 0x00, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := msg.Decode(data)
+		crossCheck(t, wireTag, data, v, err)
+		if len(data) > 1 && data[0] == 0x00 && data[1] != wireTag && msg.IsBound(data[1]) {
+			crossCheck(t, data[1], data, v, err)
+		}
 		if err != nil || data[0] != 0x00 {
 			return
 		}
@@ -377,4 +438,21 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("accepted % x, re-encodes to % x, then to % x", data, out, again)
 		}
 	})
+}
+
+// crossCheck compares the Codec bound to tag with Decode's verdict (v, err)
+// on data: the Codec accepts data exactly when Decode accepts it as a binary
+// frame of that tag, and then reads the same value.
+func crossCheck(t *testing.T, tag byte, data []byte, v any, err error) {
+	t.Helper()
+	typed, typedErr := msg.DecodeByTag(tag, data)
+	own := err == nil && len(data) > 1 && data[0] == 0x00 && data[1] == tag
+	switch {
+	case own && typedErr != nil:
+		t.Fatalf("Decode accepted % x as %#v; the %#x Codec rejects it: %v", data, v, tag, typedErr)
+	case !own && typedErr == nil:
+		t.Fatalf("the %#x Codec accepted % x as %#v; Decode gives %#v, %v", tag, data, typed, v, err)
+	case own && !reflect.DeepEqual(typed, v):
+		t.Fatalf("% x: the %#x Codec reads %#v, Decode %#v", data, tag, typed, v)
+	}
 }

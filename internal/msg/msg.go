@@ -78,6 +78,7 @@ var (
 	errNonCanonical = errors.New("non-canonical encoding")
 	errDepth        = errors.New("nesting too deep")
 	errTrailing     = errors.New("trailing bytes")
+	errNotBinary    = errors.New("not a binary frame")
 )
 
 var (
@@ -105,9 +106,13 @@ func Register(v any) {
 
 // binding is one bound type's binary encoding.
 type binding struct {
-	tag byte
-	enc func(*Writer, any)
-	dec func(*Reader) any
+	tag   byte
+	enc   func(*Writer, any)
+	dec   func(*Reader) any
+	codec any // the type's Codec[T], for CodecOf
+	// decodeTyped is codec.Decode with its result boxed, so tests can run
+	// a type's Codec by tag.
+	decodeTyped func([]byte) (any, error)
 }
 
 // table is the immutable set of bindings; Bind replaces it wholesale, so the
@@ -128,8 +133,9 @@ func init() {
 // and dec under tag. Owner packages call it from init, once per type; a
 // reserved, reused or re-bound tag panics. dec must read exactly what enc
 // wrote, in the same order, and need not check errors: the Reader's are
-// sticky and Decode reports the first.
-func Bind[T any](tag byte, enc func(*Writer, T), dec func(*Reader) T) {
+// sticky and Decode reports the first. The returned Codec encodes and
+// decodes T without boxing it.
+func Bind[T any](tag byte, enc func(*Writer, T), dec func(*Reader) T) Codec[T] {
 	var zero T
 	Register(zero)
 	typ := reflect.TypeOf(zero)
@@ -144,10 +150,19 @@ func Bind[T any](tag byte, enc func(*Writer, T), dec func(*Reader) T) {
 	case old.byType[typ] != nil:
 		panic(fmt.Sprintf("msg: %v bound twice", typ))
 	}
+	c := Codec[T]{tag: tag, enc: enc, dec: dec}
 	b := &binding{
-		tag: tag,
-		enc: func(w *Writer, v any) { enc(w, v.(T)) },
-		dec: func(r *Reader) any { return dec(r) },
+		tag:   tag,
+		enc:   func(w *Writer, v any) { enc(w, v.(T)) },
+		dec:   func(r *Reader) any { return dec(r) },
+		codec: c,
+		decodeTyped: func(data []byte) (any, error) {
+			v, err := c.Decode(data)
+			if err != nil {
+				return nil, err
+			}
+			return v, nil
+		},
 	}
 	next := &table{byType: make(map[reflect.Type]*binding, len(old.byType)+1), byTag: old.byTag}
 	for t, ob := range old.byType {
@@ -156,6 +171,89 @@ func Bind[T any](tag byte, enc func(*Writer, T), dec func(*Reader) T) {
 	next.byType[typ] = b
 	next.byTag[tag] = b
 	bindings.Store(next)
+	return c
+}
+
+// CodecOf returns T's Codec, if T is bound.
+func CodecOf[T any]() (Codec[T], bool) {
+	b := bindings.Load().byType[reflect.TypeFor[T]()]
+	if b == nil {
+		return Codec[T]{}, false
+	}
+	return b.codec.(Codec[T]), true
+}
+
+// Codec is one bound type's binary encoding, typed. Its methods write and
+// accept exactly the frames Encode, EncodeTransient and Decode do for a T,
+// with the same checks, but take and return a T rather than an interface
+// value: no box per frame, no lookup by dynamic type, and Decode rejects a
+// frame of any other type (a gob stream included) as an error.
+type Codec[T any] struct {
+	tag byte
+	enc func(*Writer, T)
+	dec func(*Reader) T
+}
+
+// encode serialises v into a pooled writer; the caller must release it.
+func (c Codec[T]) encode(v T) (*Writer, error) {
+	w := writerPool.Get().(*Writer)
+	w.buf, w.err, w.depth = w.buf[:0], nil, 1
+	w.Byte(binaryMark)
+	w.Byte(c.tag)
+	c.enc(w, v)
+	if w.err != nil {
+		err := w.err
+		writerPool.Put(w)
+		return nil, fmt.Errorf("msg encode %T: %w", v, err)
+	}
+	return w, nil
+}
+
+// Encode is Encode for a T.
+func (c Codec[T]) Encode(v T) ([]byte, error) {
+	w, err := c.encode(v)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(w.buf))
+	copy(out, w.buf)
+	writerPool.Put(w)
+	return out, nil
+}
+
+// EncodeTransient is EncodeTransient for a T.
+func (c Codec[T]) EncodeTransient(v T) ([]byte, func(), error) {
+	w, err := c.encode(v)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.buf, w.release, nil
+}
+
+// Decode is Decode for a frame that must hold a T.
+func (c Codec[T]) Decode(data []byte) (T, error) {
+	var v T
+	if len(data) == 0 || data[0] != binaryMark {
+		return v, fmt.Errorf("msg decode: %w", errNotBinary)
+	}
+	r := readerPool.Get().(*Reader)
+	*r = Reader{data: data, off: 1, depth: 1}
+	if tag := r.Byte(); r.err == nil && tag != c.tag {
+		r.fail(fmt.Errorf("tag %#x, want %#x", tag, c.tag))
+	} else if r.err == nil {
+		v = c.dec(r)
+	}
+	if r.err == nil && r.off != len(r.data) {
+		r.fail(errTrailing)
+	}
+	err := r.err
+	*r = Reader{} // drop the data reference before pooling
+	readerPool.Put(r)
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("msg decode: %w", err)
+	}
+	return v, nil
 }
 
 func lookup(v any) *binding { return bindings.Load().byType[reflect.TypeOf(v)] }

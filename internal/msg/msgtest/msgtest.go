@@ -1,7 +1,8 @@
 // Package msgtest checks binary codec bindings (msg.Bind) against gob. The
 // packages that own bound types call it from their tests: every bound value
-// must decode to exactly what a gob round trip of it yields, and each tag
-// has a golden frame that pins its wire format.
+// must decode to exactly what a gob round trip of it yields, its typed
+// Codec must agree with the untyped Encode and Decode byte for byte, and
+// each tag has a golden frame that pins its wire format.
 package msgtest
 
 import (
@@ -59,9 +60,9 @@ func Uint(rng *rand.Rand) uint64 { return rng.Uint64() >> rng.IntN(64) }
 
 // RoundTrip checks one bound value: Encode gives a binary frame, Decode of
 // it equals the gob round trip of v, re-encoding the decoded value gives
-// the same bytes, and EncodeTransient agrees with Encode. It returns the
-// frame.
-func RoundTrip(t testing.TB, v any) []byte {
+// the same bytes, EncodeTransient agrees with Encode, and T's Codec agrees
+// with both (see checkCodec). It returns the frame.
+func RoundTrip[T any](t testing.TB, v T) []byte {
 	t.Helper()
 	frame, err := msg.Encode(v)
 	if err != nil {
@@ -86,12 +87,46 @@ func RoundTrip(t testing.TB, v any) []byte {
 		t.Fatalf("EncodeTransient gave % x (%v), Encode % x", transient, err, frame)
 	}
 	release()
+	checkCodec(t, v, frame)
 	return frame
+}
+
+// checkCodec checks T's Codec against the untyped API on one value and its
+// frame: Codec.Encode and Codec.EncodeTransient write the same bytes as
+// Encode, Codec.Decode reads what Decode reads, and both reject the frame
+// cut short by a byte or followed by one.
+func checkCodec[T any](t testing.TB, v T, frame []byte) {
+	t.Helper()
+	c, ok := msg.CodecOf[T]()
+	if !ok {
+		t.Fatalf("%T is bound but has no Codec", v)
+	}
+	if typed, err := c.Encode(v); err != nil || !bytes.Equal(typed, frame) {
+		t.Fatalf("Codec.Encode gave % x (%v), Encode % x", typed, err, frame)
+	}
+	typed, release, err := c.EncodeTransient(v)
+	if err != nil || !bytes.Equal(typed, frame) {
+		t.Fatalf("Codec.EncodeTransient gave % x (%v), Encode % x", typed, err, frame)
+	}
+	release()
+	got, err := c.Decode(frame)
+	if err != nil {
+		t.Fatalf("Codec.Decode of % x: %v", frame, err)
+	}
+	if want, _ := msg.Decode(frame); !reflect.DeepEqual(any(got), want) {
+		t.Fatalf("Codec.Decode of % x gave %#v, Decode %#v", frame, got, want)
+	}
+	for _, bad := range [][]byte{frame[:len(frame)-1], append(bytes.Clone(frame), 0)} {
+		_, untypedErr := msg.Decode(bad)
+		if _, err := c.Decode(bad); err == nil || untypedErr == nil {
+			t.Fatalf("% x accepted: Codec.Decode error %v, Decode error %v", bad, err, untypedErr)
+		}
+	}
 }
 
 // Golden checks that v encodes to the frame written in hex (spaces are
 // ignored) and round-trips as RoundTrip requires.
-func Golden(t testing.TB, v any, frameHex string) {
+func Golden[T any](t testing.TB, v T, frameHex string) {
 	t.Helper()
 	want, err := hex.DecodeString(string(bytes.ReplaceAll([]byte(frameHex), []byte(" "), nil)))
 	if err != nil {
