@@ -72,19 +72,19 @@ type wire struct {
 // tagWire is the frame's tag in the binary codec.
 const tagWire = 0x10
 
-func init() {
-	msg.Bind(tagWire, func(w *msg.Writer, f wire) {
-		w.Byte(f.Kind)
-		w.Uint(f.Seq)
-		w.Uint(f.Ack)
-		w.Str(f.Proto)
-		w.Any(f.Body)
-		w.Uint(f.Inc)
-		w.Uint(f.PInc)
-	}, func(r *msg.Reader) wire {
-		return wire{Kind: r.Byte(), Seq: r.Uint(), Ack: r.Uint(), Proto: r.Str(), Body: r.Any(), Inc: r.Uint(), PInc: r.Uint()}
-	})
-}
+// wireCodec encodes and decodes frames without boxing them: every packet
+// the endpoint sends or receives goes through it.
+var wireCodec = msg.Bind(tagWire, func(w *msg.Writer, f wire) {
+	w.Byte(f.Kind)
+	w.Uint(f.Seq)
+	w.Uint(f.Ack)
+	w.Str(f.Proto)
+	w.Any(f.Body)
+	w.Uint(f.Inc)
+	w.Uint(f.PInc)
+}, func(r *msg.Reader) wire {
+	return wire{Kind: r.Byte(), Seq: r.Uint(), Ack: r.Uint(), Proto: r.Str(), Body: r.Any(), Inc: r.Uint(), PInc: r.Uint()}
+})
 
 // Handler consumes a message delivered to a protocol. Handlers run on the
 // endpoint's dispatch goroutine: they must not block for long and must not
@@ -156,6 +156,10 @@ type Endpoint struct {
 	statBackoffResets uint64 // frames acked after at least one retransmission
 
 	loopback chan wire // local deliveries, so handlers always run on dispatch
+
+	// batch is the in-order run handleData delivers, reused from frame to
+	// frame; only the dispatch goroutine touches it.
+	batch []delivery
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -308,7 +312,7 @@ func (e *Endpoint) Send(to proc.ID, proto string, body any) error {
 	out.nextSeq++
 	w := wire{Kind: kindData, Seq: out.nextSeq, Ack: in.expected - 1, Proto: proto, Body: body,
 		Inc: e.inc, PInc: e.peerInc[to]}
-	frame, err := msg.Encode(w)
+	frame, err := wireCodec.Encode(w)
 	if err != nil {
 		out.nextSeq--
 		e.mu.Unlock()
@@ -334,7 +338,7 @@ func (e *Endpoint) SendDatagram(to proc.ID, proto string, body any) error {
 	e.mu.Unlock()
 	// Datagrams are never retransmitted, so the frame can live in a pooled
 	// buffer: the transport copies on Send and the buffer is reused.
-	frame, release, err := msg.EncodeTransient(w)
+	frame, release, err := wireCodec.EncodeTransient(w)
 	if err != nil {
 		return fmt.Errorf("rchannel datagram to %s: %w", to, err)
 	}
@@ -359,18 +363,14 @@ func (e *Endpoint) sendLocal(w wire) error {
 	// Round-trip through the codec so local and remote deliveries share
 	// aliasing semantics. The encoded frame exists only for the duration of
 	// the decode, so it stays in a pooled buffer.
-	frame, release, err := msg.EncodeTransient(w)
+	frame, release, err := wireCodec.EncodeTransient(w)
 	if err != nil {
 		return fmt.Errorf("rchannel loopback: %w", err)
 	}
-	decoded, err := msg.Decode(frame)
+	dw, err := wireCodec.Decode(frame)
 	release()
 	if err != nil {
 		return fmt.Errorf("rchannel loopback decode: %w", err)
-	}
-	dw, ok := decoded.(wire)
-	if !ok {
-		return fmt.Errorf("rchannel loopback: unexpected frame type %T", decoded)
 	}
 	select {
 	case e.loopback <- dw:
@@ -417,24 +417,17 @@ func (e *Endpoint) dispatchLoop() {
 }
 
 func (e *Endpoint) handlePacket(pkt transport.Packet) {
-	decoded, err := msg.Decode(pkt.Data)
-	// The endpoint is the frame's final consumer: msg.Decode copies every
-	// field out of the buffer, so it can go back to the transport pool here
+	// A frame of any other type, gob included, fails to decode as a wire.
+	w, err := wireCodec.Decode(pkt.Data)
+	// The endpoint is the frame's final consumer: Decode copies every field
+	// out of the buffer, so it can go back to the transport pool here
 	// regardless of what happens to the decoded value.
 	transport.PutFrame(pkt.Data)
 	if err != nil {
 		e.mu.Lock()
 		e.statBad++
 		e.mu.Unlock()
-		e.log.Warn("rchannel: undecodable packet", "from", pkt.From, "err", err)
-		return
-	}
-	w, ok := decoded.(wire)
-	if !ok {
-		e.mu.Lock()
-		e.statBad++
-		e.mu.Unlock()
-		e.log.Warn("rchannel: unexpected frame type", "from", pkt.From, "type", fmt.Sprintf("%T", decoded))
+		e.log.Warn("rchannel: bad frame", "from", pkt.From, "err", err)
 		return
 	}
 	if !e.admit(pkt.From, w) {
@@ -539,13 +532,14 @@ func (e *Endpoint) applyAck(from proc.ID, ack uint64) {
 	}
 }
 
-func (e *Endpoint) handleData(from proc.ID, w wire) {
-	type delivery struct {
-		proto string
-		body  any
-	}
-	var deliveries []delivery
+// delivery is one in-order message handleData hands to its handler.
+type delivery struct {
+	proto string
+	body  any
+}
 
+func (e *Endpoint) handleData(from proc.ID, w wire) {
+	deliveries := e.batch[:0]
 	e.mu.Lock()
 	in := e.inLocked(from)
 	dup := w.Seq < in.expected
@@ -580,6 +574,8 @@ func (e *Endpoint) handleData(from proc.ID, w wire) {
 	for _, d := range deliveries {
 		e.dispatch(from, d.proto, d.body)
 	}
+	clear(deliveries) // pin no body until the next frame
+	e.batch = deliveries
 }
 
 // sendAck emits a bare cumulative ack. pinc is the peer's incarnation,
@@ -587,7 +583,7 @@ func (e *Endpoint) handleData(from proc.ID, w wire) {
 func (e *Endpoint) sendAck(to proc.ID, ack, pinc uint64) {
 	w := wire{Kind: kindAck, Ack: ack, Inc: e.inc, PInc: pinc}
 	// Never retained, so acks use the pooled transient encode path.
-	frame, release, err := msg.EncodeTransient(w)
+	frame, release, err := wireCodec.EncodeTransient(w)
 	if err != nil {
 		e.log.Warn("rchannel: encode ack", "err", err)
 		return
