@@ -141,6 +141,10 @@ func NewNode(tr transport.Transport, cfg Config, deliver DeliverFunc) (*Node, er
 	if !slices.Contains(cfg.Universe, cfg.Self) {
 		return nil, fmt.Errorf("core: self %q not in universe %v", cfg.Self, cfg.Universe)
 	}
+	if len(cfg.Universe) > gbcast.MaxMembers {
+		return nil, fmt.Errorf("core: universe of %d processes, generic broadcast supports at most %d",
+			len(cfg.Universe), gbcast.MaxMembers)
+	}
 	for _, m := range cfg.InitialView {
 		if !slices.Contains(cfg.Universe, m) {
 			return nil, fmt.Errorf("core: initial view member %q not in universe", m)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,16 @@ func TestNewNodeValidation(t *testing.T) {
 		Self: "c", Universe: proc.IDs("c"), InitialView: proc.IDs("c", "zz"),
 	}, nil); err == nil || !strings.Contains(err.Error(), "initial view") {
 		t.Fatalf("expected initial view error, got %v", err)
+	}
+
+	// A universe larger than generic broadcast's ack bitmask.
+	big := make([]proc.ID, gbcast.MaxMembers+1)
+	for i := range big {
+		big[i] = proc.ID(fmt.Sprintf("m%d", i))
+	}
+	if _, err := NewNode(network.Endpoint("m0"), Config{Universe: big}, nil); err == nil ||
+		!strings.Contains(err.Error(), "at most 64") {
+		t.Fatalf("expected universe size error, got %v", err)
 	}
 }
 

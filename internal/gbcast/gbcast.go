@@ -64,6 +64,7 @@ package gbcast
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -198,6 +199,9 @@ type Broadcaster struct {
 	rb *rbcast.Broadcaster
 	ab abroadcaster
 
+	// memberBit is each member's bit in an ackMask.
+	memberBit map[proc.ID]ackMask
+
 	events *eventq.Queue[event]
 
 	// Event-loop-owned state.
@@ -207,7 +211,8 @@ type Broadcaster struct {
 	deliveredFast map[proc.ID]*seqset.Set
 	fifoNext      map[proc.ID]uint64
 	unswept       map[gid]struct{}
-	acks          map[gid]map[uint64]map[proc.ID]struct{}
+	acks          map[gid]ackRec
+	acksLater     map[gid]map[uint64]ackMask // see ackRec
 	closeSenders  map[proc.ID]struct{}
 	closeUnion    map[gid]struct{}
 	queuedOrdered []Delivery
@@ -231,20 +236,43 @@ type abroadcaster interface {
 	Broadcast(body any) error
 }
 
+// event is one input of the event loop, carried by value: which of its
+// fields is set depends on kind.
 type event struct {
-	fast  *rbcast.Delivery
-	ack   *ackEvent
-	adlv  *abcast.Delivery
-	query *statsQuery
+	kind    eventKind
+	fast    rbcast.Delivery // evFast
+	ackFrom proc.ID         // evAck
+	ack     gAck            // evAck
+	adlv    abcast.Delivery // evAdeliver
+	reply   chan Stats      // evQuery
 }
 
-type ackEvent struct {
-	from proc.ID
-	ack  gAck
-}
+type eventKind uint8
 
-type statsQuery struct {
-	reply chan Stats
+const (
+	evFast eventKind = iota + 1
+	evAck
+	evAdeliver
+	evQuery
+)
+
+// MaxMembers bounds the member universe: a message's acknowledgers are a
+// bitmask of member indexes.
+const MaxMembers = 64
+
+// ackMask is a set of members, one bit each (memberBit).
+type ackMask uint64
+
+// ackRec holds a message's acks for one epoch, that of the first ack
+// recorded for it, so the steady state costs one map entry per message.
+// Acks for any other epoch that can still count (a peer already past a
+// boundary this process has not completed) go to the acksLater side map.
+// An epoch below the current one can never count again (checkFast only
+// counts the current epoch, which only grows), so such acks are dropped
+// and a record of such an epoch is reused.
+type ackRec struct {
+	epoch uint64
+	mask  ackMask
 }
 
 // Stats exposes the broadcaster's delivery counters (for the thriftiness
@@ -259,7 +287,12 @@ type Stats struct {
 // group (proto+".data") and an ack protocol (proto+".ack"); the atomic
 // broadcaster must be attached with AttachAbcast before Start, with this
 // broadcaster's Adeliver as its delivery callback.
+//
+// It panics if members holds more than MaxMembers processes.
 func New(ep *rchannel.Endpoint, proto string, members []proc.ID, rel *Relation, deliver DeliverFunc, opts ...Option) *Broadcaster {
+	if len(members) > MaxMembers {
+		panic(fmt.Sprintf("gbcast: %d members, at most %d", len(members), MaxMembers))
+	}
 	g := &Broadcaster{
 		ep:            ep,
 		self:          ep.Self(),
@@ -274,12 +307,15 @@ func New(ep *rchannel.Endpoint, proto string, members []proc.ID, rel *Relation, 
 		deliveredFast: make(map[proc.ID]*seqset.Set),
 		fifoNext:      make(map[proc.ID]uint64),
 		unswept:       make(map[gid]struct{}),
-		acks:          make(map[gid]map[uint64]map[proc.ID]struct{}),
+		memberBit:     make(map[proc.ID]ackMask, len(members)),
+		acks:          make(map[gid]ackRec),
+		acksLater:     make(map[gid]map[uint64]ackMask),
 		closeSenders:  make(map[proc.ID]struct{}),
 		closeUnion:    make(map[gid]struct{}),
 		stop:          make(chan struct{}),
 	}
-	for _, m := range members {
+	for i, m := range members {
+		g.memberBit[m] = 1 << i
 		if m != g.self {
 			g.others = append(g.others, m)
 		}
@@ -288,14 +324,14 @@ func New(ep *rchannel.Endpoint, proto string, members []proc.ID, rel *Relation, 
 		o(g)
 	}
 	g.rb = rbcast.New(ep, proto+".data", members, func(d rbcast.Delivery) {
-		g.events.Push(event{fast: &d})
+		g.events.Push(event{kind: evFast, fast: d})
 	})
 	ep.Handle(proto+".ack", func(from proc.ID, body any) {
 		a, ok := body.(gAck)
 		if !ok {
 			return
 		}
-		g.events.Push(event{ack: &ackEvent{from: from, ack: a}})
+		g.events.Push(event{kind: evAck, ackFrom: from, ack: a})
 	})
 	return g
 }
@@ -308,7 +344,7 @@ func (g *Broadcaster) AttachAbcast(ab *abcast.Broadcaster) {
 
 // Adeliver is the abcast delivery callback (total-order input stream).
 func (g *Broadcaster) Adeliver(d abcast.Delivery) {
-	g.events.Push(event{adlv: &d})
+	g.events.Push(event{kind: evAdeliver, adlv: d})
 }
 
 // Start launches the event loop. AttachAbcast must have been called.
@@ -357,7 +393,7 @@ func (g *Broadcaster) Broadcast(class string, body any) error {
 // Stats returns delivery counters.
 func (g *Broadcaster) Stats() Stats {
 	reply := make(chan Stats, 1)
-	g.events.Push(event{query: &statsQuery{reply: reply}})
+	g.events.Push(event{kind: evQuery, reply: reply})
 	select {
 	case s := <-reply:
 		return s
@@ -378,15 +414,15 @@ func (g *Broadcaster) loop() {
 				continue
 			}
 		}
-		switch {
-		case ev.fast != nil:
-			g.onFast(*ev.fast)
-		case ev.ack != nil:
-			g.onAck(ev.ack.from, ev.ack.ack)
-		case ev.adlv != nil:
-			g.onAdeliver(*ev.adlv)
-		case ev.query != nil:
-			ev.query.reply <- Stats{
+		switch ev.kind {
+		case evFast:
+			g.onFast(ev.fast)
+		case evAck:
+			g.onAck(ev.ackFrom, ev.ack)
+		case evAdeliver:
+			g.onAdeliver(ev.adlv)
+		case evQuery:
+			ev.reply <- Stats{
 				FastDelivered:    g.statFast,
 				OrderedDelivered: g.statOrdered,
 				Boundaries:       g.statBoundary,
@@ -423,7 +459,7 @@ func (g *Broadcaster) onFast(d rbcast.Delivery) {
 // plus unswept) and notify the other members.
 func (g *Broadcaster) sendAck(id gid) {
 	g.unswept[id] = struct{}{}
-	g.ackSet(id, g.epoch)[g.self] = struct{}{}
+	g.addAck(id, g.epoch, g.self)
 	_ = g.ep.SendAll(g.others, g.proto+".ack", gAck{ID: id, Epoch: g.epoch})
 }
 
@@ -431,7 +467,7 @@ func (g *Broadcaster) onAck(from proc.ID, a gAck) {
 	if g.deliveredSet(a.ID.Origin).Contains(a.ID.Seq) {
 		return
 	}
-	g.ackSet(a.ID, a.Epoch)[from] = struct{}{}
+	g.addAck(a.ID, a.Epoch, from)
 	if !g.closing && a.Epoch == g.epoch {
 		g.checkFast(a.ID)
 	}
@@ -449,7 +485,7 @@ func (g *Broadcaster) checkFast(id gid) {
 	if next := g.fifoNextFor(id.Origin); id.Seq != next {
 		return
 	}
-	if len(g.ackSet(id, g.epoch)) < g.quorum {
+	if g.ackCount(id, g.epoch) < g.quorum {
 		return
 	}
 	g.deliverFast(id)
@@ -463,6 +499,9 @@ func (g *Broadcaster) deliverFast(id gid) {
 	g.deliveredSet(id.Origin).Add(id.Seq)
 	g.fifoNext[id.Origin] = id.Seq + 1
 	delete(g.acks, id)
+	if len(g.acksLater) > 0 {
+		delete(g.acksLater, id)
+	}
 	g.statFast++
 	if g.deliver != nil && f.Class != flushClass {
 		g.deliver(Delivery{Origin: id.Origin, Class: f.Class, Body: f.Body})
@@ -632,18 +671,55 @@ func (g *Broadcaster) fifoNextFor(origin proc.ID) uint64 {
 	return next
 }
 
-func (g *Broadcaster) ackSet(id gid, epoch uint64) map[proc.ID]struct{} {
-	byEpoch, ok := g.acks[id]
-	if !ok {
-		byEpoch = make(map[uint64]map[proc.ID]struct{})
-		g.acks[id] = byEpoch
+// addAck records from's ack of id in epoch (see ackRec).
+func (g *Broadcaster) addAck(id gid, epoch uint64, from proc.ID) {
+	bit, member := g.memberBit[from]
+	if !member || epoch < g.epoch {
+		return
 	}
-	set, ok := byEpoch[epoch]
-	if !ok {
-		set = make(map[proc.ID]struct{})
-		byEpoch[epoch] = set
+	r, ok := g.acks[id]
+	switch {
+	case !ok || r.epoch < g.epoch:
+		r = ackRec{epoch: epoch, mask: bit | g.takeLater(id, epoch)}
+	case r.epoch == epoch:
+		r.mask |= bit
+	default:
+		later := g.acksLater[id]
+		if later == nil {
+			later = make(map[uint64]ackMask)
+			g.acksLater[id] = later
+		}
+		later[epoch] |= bit
+		return
 	}
-	return set
+	g.acks[id] = r
+}
+
+// takeLater removes and returns id's side-map acks for epoch, dropping
+// those of epochs that can no longer count.
+func (g *Broadcaster) takeLater(id gid, epoch uint64) ackMask {
+	later, ok := g.acksLater[id]
+	if !ok {
+		return 0
+	}
+	m := later[epoch]
+	for e := range later {
+		if e == epoch || e < g.epoch {
+			delete(later, e)
+		}
+	}
+	if len(later) == 0 {
+		delete(g.acksLater, id)
+	}
+	return m
+}
+
+// ackCount is how many members acked id in epoch.
+func (g *Broadcaster) ackCount(id gid, epoch uint64) int {
+	if r, ok := g.acks[id]; ok && r.epoch == epoch {
+		return bits.OnesCount64(uint64(r.mask))
+	}
+	return bits.OnesCount64(uint64(g.acksLater[id][epoch]))
 }
 
 func sortGids(ids []gid) {
