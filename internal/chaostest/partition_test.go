@@ -248,7 +248,7 @@ func TestPartitionChaos(t *testing.T) {
 			j := (i + 1 + rng.Intn(len(c.ids)-1)) % len(c.ids)
 			c.network.CutLinkOneWay(c.ids[i], c.ids[j])
 			time.Sleep(hold)
-			c.network.Heal()
+			c.network.HealLinkOneWay(c.ids[i], c.ids[j]) // Heal lifts partitions, not link cuts
 		case 2:
 			// Flapping partition: one core's outbound goes mute/loud on a
 			// fast period via the fault layer's scheduler — the cruellest
