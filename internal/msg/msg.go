@@ -40,6 +40,14 @@
 // consume a frame synchronously (transports copy on Send) can avoid even
 // that copy with EncodeTransient. See BenchmarkMsgCodec and
 // BenchmarkMsgDecode.
+//
+// Bind returns a typed Codec[T] for the bound type. Its Encode,
+// EncodeTransient and Decode write and accept exactly the frames the
+// untyped functions do, with the same checks, but take and return a T:
+// the hot path neither boxes a frame into an interface value nor looks its
+// binding up by dynamic type, and Codec.Decode rejects a frame of any other
+// type, a gob stream included. The reliable channel sends and receives
+// every packet through its frame's Codec.
 package msg
 
 import (
