@@ -5,7 +5,7 @@ const MaxDepth = maxDepth
 
 // DecodeByTag decodes data with the Codec of the type bound to tag.
 func DecodeByTag(tag byte, data []byte) (any, error) {
-	return bindings.Load().byTag[tag].decodeTyped(data)
+	return bindings.Load().byTag[tag].codec.decodeAny(data)
 }
 
 // IsBound reports whether a type is bound to tag.

@@ -117,10 +117,13 @@ type binding struct {
 	tag   byte
 	enc   func(*Writer, any)
 	dec   func(*Reader) any
-	codec any // the type's Codec[T], for CodecOf
-	// decodeTyped is codec.Decode with its result boxed, so tests can run
-	// a type's Codec by tag.
-	decodeTyped func([]byte) (any, error)
+	codec anyCodec // the type's Codec[T]
+}
+
+// anyCodec is a Codec[T] of some T: CodecOf asserts it back to its type,
+// and tests run it by tag.
+type anyCodec interface {
+	decodeAny(data []byte) (any, error)
 }
 
 // table is the immutable set of bindings; Bind replaces it wholesale, so the
@@ -164,13 +167,6 @@ func Bind[T any](tag byte, enc func(*Writer, T), dec func(*Reader) T) Codec[T] {
 		enc:   func(w *Writer, v any) { enc(w, v.(T)) },
 		dec:   func(r *Reader) any { return dec(r) },
 		codec: c,
-		decodeTyped: func(data []byte) (any, error) {
-			v, err := c.Decode(data)
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
 	}
 	next := &table{byType: make(map[reflect.Type]*binding, len(old.byType)+1), byTag: old.byTag}
 	for t, ob := range old.byType {
@@ -205,6 +201,7 @@ type Codec[T any] struct {
 // encode serialises v into a pooled writer; the caller must release it.
 func (c Codec[T]) encode(v T) (*Writer, error) {
 	w := writerPool.Get().(*Writer)
+	// The frame's own value is at depth 1, where Writer.bound puts it.
 	w.buf, w.err, w.depth = w.buf[:0], nil, 1
 	w.Byte(binaryMark)
 	w.Byte(c.tag)
@@ -260,6 +257,15 @@ func (c Codec[T]) Decode(data []byte) (T, error) {
 	if err != nil {
 		var zero T
 		return zero, fmt.Errorf("msg decode: %w", err)
+	}
+	return v, nil
+}
+
+// decodeAny is Decode with the value boxed.
+func (c Codec[T]) decodeAny(data []byte) (any, error) {
+	v, err := c.Decode(data)
+	if err != nil {
+		return nil, err
 	}
 	return v, nil
 }
